@@ -19,13 +19,20 @@ pub struct Summary {
     pub max: f64,
 }
 
-/// Percentile of a sample (p ∈ [0, 100]), nearest-rank on the sorted data.
+/// Percentile of a sample (p ∈ [0, 100]), interpolated linearly between
+/// the two closest ranks of the sorted data, so the median of an even-sized
+/// sample is the mean of its middle pair (nearest-rank rounding would make
+/// the median of two runs their maximum).
 pub fn percentile(values: &[f64], p: f64) -> f64 {
     assert!(!values.is_empty(), "percentile of empty sample");
     let mut sorted: Vec<f64> = values.to_vec();
     sorted.sort_by(f64::total_cmp);
-    let rank = ((p / 100.0) * (sorted.len() - 1) as f64).round() as usize;
-    sorted[rank.min(sorted.len() - 1)]
+    let pos = (p / 100.0).clamp(0.0, 1.0) * (sorted.len() - 1) as f64;
+    let (lo, hi) = (pos.floor() as usize, pos.ceil() as usize);
+    if lo == hi {
+        return sorted[lo];
+    }
+    sorted[lo] + (sorted[hi] - sorted[lo]) * (pos - lo as f64)
 }
 
 /// Computes the five-number summary of a sample.
@@ -56,6 +63,24 @@ mod tests {
         assert_eq!(percentile(&v, 0.0), 1.0);
         assert_eq!(percentile(&v, 50.0), 3.0);
         assert_eq!(percentile(&v, 100.0), 5.0);
+    }
+
+    #[test]
+    fn percentile_interpolates_between_ranks() {
+        // n = 1: every percentile is the value.
+        assert_eq!(summarize(&[7.0]), summarize(&[7.0, 7.0]));
+        // n = 2: the median is the mean, not the maximum.
+        let s = summarize(&[10.0, 2.0]);
+        assert_eq!(
+            (s.min, s.q1, s.median, s.q3, s.max),
+            (2.0, 4.0, 6.0, 8.0, 10.0)
+        );
+        // n = 4: quartiles at ranks 0.75, 1.5, 2.25.
+        let s = summarize(&[4.0, 1.0, 3.0, 2.0]);
+        assert_eq!(
+            (s.min, s.q1, s.median, s.q3, s.max),
+            (1.0, 1.75, 2.5, 3.25, 4.0)
+        );
     }
 
     #[test]

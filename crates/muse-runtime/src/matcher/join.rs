@@ -25,7 +25,10 @@
 //! slice of each other slot (two binary searches) instead of the full
 //! store, visits the slots smallest-slice-first so thin inputs cut the
 //! candidate set early, and rejects pairs with a cheap window-span /
-//! shared-primitive guard before paying for a merge. Eviction is a logical
+//! shared-primitive guard before paying for a merge. When the query chains
+//! attributes with `=` predicates, each slot's store is additionally
+//! partitioned by the chain's value (see [`super::partition`]) and a probe
+//! visits only the partition of its own key. Eviction is a logical
 //! watermark applied at probe time, with the physical prefix truncated only
 //! every [`JoinTask::with_evict_stride`] ticks of horizon progress — the
 //! emitted match stream is identical to the naive retain-per-arrival
@@ -33,6 +36,7 @@
 //! implementation for equivalence tests and benchmarks.
 
 use super::evaluator::EvalState;
+use super::partition::{EqIndex, EqKey};
 use super::store::{MatchStore, StoreState};
 use super::{is_valid_match, nseq_violated, Evaluator, Match};
 use crate::metrics::JoinStats;
@@ -84,6 +88,9 @@ pub struct JoinTask {
     /// Candidates awaiting their deferred absence check.
     #[serde(default)]
     deferred: Vec<Match>,
+    /// Equality-key partitions of `stores` (derived; never serialized).
+    #[serde(default)]
+    index: EqIndex,
     /// Observability counters.
     stats: JoinStats,
 }
@@ -116,10 +123,12 @@ pub struct JoinState {
     pub stats: JoinStats,
 }
 
-/// A join candidate being assembled across slots, with its cached span.
+/// A join candidate being assembled across slots, with its cached span
+/// and equality key.
 struct Candidate {
     first: Timestamp,
     last: Timestamp,
+    key: EqKey,
     m: Match,
 }
 
@@ -166,10 +175,12 @@ impl JoinTask {
             })
             .collect();
         let stores = vec![MatchStore::new(); slots.len()];
+        let positive = target.difference(negated_prims);
         Self {
+            index: EqIndex::build(query, positive, &slots),
             query: query.clone(),
             target,
-            positive: target.difference(negated_prims),
+            positive,
             slots,
             stores,
             negations,
@@ -299,40 +310,38 @@ impl JoinTask {
 
         let window = self.query.window();
         let (m_first, m_last) = (m.first_time(), m.last_time());
+        let m_key = self.index.key_of(&m);
 
-        // Fast path for the common no-join case: the merge across slots is
-        // a conjunction, so if any other positive slot has nothing
-        // compatible buffered the trigger cannot complete — store the
-        // partial without allocating the candidate scaffolding below.
-        let doomed = self.slots.iter().enumerate().any(|(i, spec)| {
-            i != slot
-                && !spec.negated
-                && self.stores[i]
-                    .compatible(m_first, m_last, window)
-                    .is_empty()
-        });
-        if doomed {
-            self.stores[slot].insert(m);
-            self.evict();
-            self.stats.peak_buffered = self.stats.peak_buffered.max(self.buffered() as u64);
-            return Vec::new();
+        // Each other positive slot's compatible slice, sized once. The
+        // merge across slots is a conjunction, so an empty slice dooms the
+        // trigger: store the partial without allocating the candidate
+        // scaffolding below (the common no-join case). Otherwise visit the
+        // slots smallest-slice-first: a thin slot shrinks the candidate set
+        // before wide slots multiply it (index as tiebreak keeps the order
+        // deterministic).
+        let mut order: Vec<(usize, usize)> = Vec::new();
+        for (i, spec) in self.slots.iter().enumerate() {
+            if i == slot || spec.negated {
+                continue;
+            }
+            let n = self
+                .index
+                .compatible(i, &self.stores[i], m_key, m_first, m_last, window)
+                .len();
+            if n == 0 {
+                self.store(slot, m_key, m);
+                self.evict();
+                self.stats.peak_buffered = self.stats.peak_buffered.max(self.buffered() as u64);
+                return Vec::new();
+            }
+            order.push((n, i));
         }
-
-        // Visit the other positive slots smallest-compatible-slice-first:
-        // a thin slot shrinks the candidate set before wide slots multiply
-        // it (index as tiebreak keeps the order deterministic).
-        let mut order: Vec<(usize, usize)> = self
-            .slots
-            .iter()
-            .enumerate()
-            .filter(|&(i, spec)| i != slot && !spec.negated)
-            .map(|(i, _)| (self.stores[i].compatible(m_first, m_last, window).len(), i))
-            .collect();
         order.sort_unstable();
 
         let mut acc = vec![Candidate {
             first: m_first,
             last: m_last,
+            key: m_key,
             m: m.clone(),
         }];
         for (_, i) in order {
@@ -340,7 +349,14 @@ impl JoinTask {
             let mut next = Vec::new();
             for cand in &acc {
                 let shared = cand.m.prims().intersect(slot_prims);
-                let slice = self.stores[i].compatible(cand.first, cand.last, window);
+                let slice = self.index.compatible(
+                    i,
+                    &self.stores[i],
+                    cand.key,
+                    cand.first,
+                    cand.last,
+                    window,
+                );
                 self.stats.probes += slice.len() as u64;
                 for stored in slice {
                     let first = cand.first.min(stored.first);
@@ -355,9 +371,14 @@ impl JoinTask {
                     if let Some(merged) = cand.m.merge(&stored.m) {
                         if is_valid_match(&merged, &self.query) {
                             self.stats.merge_successes += 1;
+                            let key = match cand.key {
+                                EqKey::Unkeyed => self.index.key_of(&merged),
+                                key => key,
+                            };
                             next.push(Candidate {
                                 first,
                                 last,
+                                key,
                                 m: merged,
                             });
                         }
@@ -377,11 +398,13 @@ impl JoinTask {
             .filter(|c| self.passes_negation(c))
             .collect();
         // Deduplicate (overlapping slots can assemble the same final match
-        // along different merge orders within one trigger).
-        emitted.sort_by_key(Match::fingerprint);
-        emitted.dedup_by(|a, b| a.fingerprint() == b.fingerprint());
+        // along different merge orders within one trigger). Comparing seq
+        // iterators orders exactly like comparing fingerprints, without
+        // allocating one per comparison.
+        emitted.sort_by(|a, b| a.seqs().cmp(b.seqs()));
+        emitted.dedup_by(|a, b| a.seqs().eq(b.seqs()));
 
-        self.stores[slot].insert(m);
+        self.store(slot, m_key, m);
         if self.defer_negation && !self.negations.is_empty() {
             // Hold candidates for the quiescence-time absence check; the
             // filter above already removed everything rejectable by the
@@ -393,6 +416,13 @@ impl JoinTask {
         self.evict();
         self.stats.peak_buffered = self.stats.peak_buffered.max(self.buffered() as u64);
         emitted
+    }
+
+    /// Buffers a match in its slot's store and mirrors it into the slot's
+    /// partition.
+    fn store(&mut self, slot: usize, key: EqKey, m: Match) {
+        let stored = self.stores[slot].insert(m);
+        self.index.insert(slot, key, stored);
     }
 
     fn passes_negation(&self, m: &Match) -> bool {
@@ -442,6 +472,7 @@ impl JoinTask {
         self.max_time = state.max_time;
         self.deferred = state.deferred;
         self.stats = state.stats;
+        self.index = EqIndex::rebuild(&self.query, self.positive, &self.slots, &self.stores);
         Ok(())
     }
 
@@ -452,8 +483,12 @@ impl JoinTask {
         let horizon = self
             .max_time
             .saturating_sub((self.query.window() as f64 * self.slack) as Timestamp);
-        for store in &mut self.stores {
-            self.stats.evicted += store.advance_horizon(horizon, self.evict_stride);
+        for (i, store) in self.stores.iter_mut().enumerate() {
+            let dropped = store.advance_horizon(horizon, self.evict_stride);
+            if dropped > 0 {
+                self.stats.evicted += dropped;
+                self.index.drain(i, store.horizon());
+            }
         }
         for neg in &mut self.negations {
             self.stats.evicted += neg.forbidden.advance_horizon(horizon, self.evict_stride);
@@ -885,6 +920,71 @@ mod tests {
             Match::new(vec![(PrimId(0), ev(0, 0, 1)), (PrimId(2), ev(2, 2, 3))]),
         );
         assert_eq!(out.len(), 1);
+    }
+
+    /// SEQ(A, B, C) with `A.0 = B.0 = C.0`, window 100.
+    fn keyed_seq_abc() -> Query {
+        use muse_core::query::{CmpOp, Predicate};
+        use muse_core::types::AttrId;
+        let eq = |l: u8, r: u8| {
+            Predicate::binary(
+                (PrimId(l), AttrId(0)),
+                CmpOp::Eq,
+                (PrimId(r), AttrId(0)),
+                0.1,
+            )
+        };
+        Query::build(
+            QueryId(0),
+            &Pattern::seq([0, 1, 2].map(|t| Pattern::leaf(EventTypeId(t)))),
+            vec![eq(0, 1), eq(1, 2)],
+            100,
+        )
+        .unwrap()
+    }
+
+    fn keyed(prim: u8, seq: u64, time: Timestamp, key: i64) -> Match {
+        use muse_core::event::{Payload, Value};
+        let mut p = Payload::new();
+        p.set(muse_core::types::AttrId(0), Value::Int(key));
+        let e = Event::with_payload(seq, EventTypeId(prim as u16), time, NodeId(0), p);
+        Match::single(PrimId(prim), e)
+    }
+
+    #[test]
+    fn keyed_join_probes_only_its_partition() {
+        let q = keyed_seq_abc();
+        let mut join = JoinTask::new(&q, q.prims(), &[ps([0]), ps([1]), ps([2])]);
+        for (i, key) in [1, 2, 3, 1].into_iter().enumerate() {
+            join.on_match(0, keyed(0, i as u64, 1 + i as u64, key));
+        }
+        join.on_match(2, keyed(2, 11, 11, 1));
+        let out = join.on_match(1, keyed(1, 10, 10, 1));
+        assert_eq!(
+            out.iter().map(Match::fingerprint).collect::<Vec<_>>(),
+            vec![vec![0, 10, 11], vec![3, 10, 11]]
+        );
+        // The B probes the one C and the two A partials with key 1; an
+        // unpartitioned join would probe all four A partials.
+        assert_eq!(join.stats().probes, 3);
+        // A B with key 2 has no C partner: doomed, nothing probed.
+        assert!(join.on_match(1, keyed(1, 12, 12, 2)).is_empty());
+        assert_eq!(join.stats().probes, 3);
+    }
+
+    #[test]
+    fn deserialized_join_emits_the_same_matches() {
+        let q = keyed_seq_abc();
+        let mut join = JoinTask::new(&q, q.prims(), &[ps([0]), ps([1]), ps([2])]);
+        join.on_match(0, keyed(0, 0, 1, 5));
+        join.on_match(0, keyed(0, 1, 1, 6));
+        join.on_match(1, keyed(1, 2, 2, 5));
+        let json = serde_json::to_string(&join).unwrap();
+        let mut copy: JoinTask = serde_json::from_str(&json).unwrap();
+        let c = keyed(2, 3, 3, 5);
+        let want = join.on_match(2, c.clone());
+        assert_eq!(want.len(), 1);
+        assert_eq!(copy.on_match(2, c), want);
     }
 
     #[test]

@@ -8,6 +8,7 @@
 
 pub mod evaluator;
 pub mod join;
+mod partition;
 pub mod store;
 
 use muse_core::event::{Event, Timestamp};
@@ -139,7 +140,14 @@ impl Match {
     /// A canonical fingerprint (sorted event sequence numbers), usable for
     /// deduplication and comparison with ground-truth results.
     pub fn fingerprint(&self) -> Vec<u64> {
-        self.events.iter().map(|(_, e)| e.seq).collect()
+        self.seqs().collect()
+    }
+
+    /// The fingerprint's sequence numbers without collecting them:
+    /// comparing two matches' `seqs()` lexicographically orders them
+    /// exactly as comparing their fingerprints does, allocation-free.
+    pub(crate) fn seqs(&self) -> impl Iterator<Item = u64> + '_ {
+        self.events.iter().map(|(_, e)| e.seq)
     }
 }
 

@@ -70,12 +70,14 @@ impl MatchStore {
         Self::default()
     }
 
-    /// Inserts a match, keeping the buffer sorted by first timestamp.
-    /// Entries with equal keys keep their insertion order.
-    pub fn insert(&mut self, m: Match) {
+    /// Inserts a match, keeping the buffer sorted by first timestamp, and
+    /// returns the new entry. Entries with equal keys keep their insertion
+    /// order.
+    pub fn insert(&mut self, m: Match) -> &StoredMatch {
         let (first, last) = (m.first_time(), m.last_time());
         let idx = self.entries.partition_point(|e| e.first <= first);
         self.entries.insert(idx, StoredMatch { first, last, m });
+        &self.entries[idx]
     }
 
     /// Inserts a batch of matches in one merge pass (cheaper than repeated
@@ -151,11 +153,7 @@ impl MatchStore {
         last: Timestamp,
         window: Timestamp,
     ) -> &[StoredMatch] {
-        let lo = self.horizon.max(last.saturating_sub(window));
-        let hi = first.saturating_add(window);
-        let start = self.entries.partition_point(|e| e.first < lo);
-        let end = self.entries.partition_point(|e| e.first <= hi);
-        &self.entries[start..end.max(start)]
+        window_slice(&self.entries, self.horizon, first, last, window)
     }
 
     /// The live entries with first timestamp ≥ `lo` (no upper bound) —
@@ -227,6 +225,23 @@ impl MatchStore {
             evicted: state.evicted,
         }
     }
+}
+
+/// The window-compatible slice of `entries` (sorted by first timestamp)
+/// under `horizon`: the slice [`MatchStore::compatible`] returns, shared
+/// with the join's equality-key partitions so both probe the same bounds.
+pub(crate) fn window_slice(
+    entries: &[StoredMatch],
+    horizon: Timestamp,
+    first: Timestamp,
+    last: Timestamp,
+    window: Timestamp,
+) -> &[StoredMatch] {
+    let lo = horizon.max(last.saturating_sub(window));
+    let hi = first.saturating_add(window);
+    let start = entries.partition_point(|e| e.first < lo);
+    let end = entries.partition_point(|e| e.first <= hi);
+    &entries[start..end.max(start)]
 }
 
 #[cfg(test)]

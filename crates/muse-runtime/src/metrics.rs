@@ -37,7 +37,8 @@ pub fn percentile_nearest_rank(sorted: &[u64], q: f64) -> Option<u64> {
 pub struct JoinStats {
     /// Matches fed into join slots (positive and negated).
     pub inputs: u64,
-    /// Stored matches inspected by window-sliced probes.
+    /// Stored matches inspected by window-sliced probes. Joins with an
+    /// equality-key index count only the probed partition's slice.
     pub probes: u64,
     /// Probed pairs rejected by the cheap pre-merge guards (window span or
     /// shared-primitive disagreement) before any merge allocation.

@@ -6,6 +6,11 @@
 //! full cross-product, and retains on every arrival — on randomized
 //! out-of-order streams, windows, slack factors, eviction strides, and
 //! slot layouts (disjoint, overlapping, many-way, and negation-guarded).
+//! Half of the layouts carry predicates — `=` chains the indexed engine
+//! partitions its stores by, mixed with `!=`/`<`/unary predicates — over
+//! payloads that stress the partition key: missing attributes, NaN,
+//! `-0.0`/`0.0`, strings, and `Int(2⁵³)`/`Int(2⁵³+1)`/`Float(2⁵³)` (equal
+//! to the float, not to each other).
 //!
 //! Invariants checked per generated stream (see DESIGN.md, "Join engine
 //! internals"):
@@ -14,9 +19,9 @@
 //! 3. the indexed engine's output does not depend on the eviction stride,
 //! 4. total emission counters agree.
 
-use muse_core::event::{Event, Timestamp};
-use muse_core::query::{Pattern, Query};
-use muse_core::types::{EventTypeId, NodeId, PrimId, PrimSet, QueryId};
+use muse_core::event::{Event, Payload, Timestamp, Value};
+use muse_core::query::{CmpOp, Pattern, Predicate, Query};
+use muse_core::types::{AttrId, EventTypeId, NodeId, PrimId, PrimSet, QueryId};
 use muse_runtime::matcher::{JoinTask, Match, NaiveJoinTask};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -32,11 +37,26 @@ struct Shape {
     slots: Vec<PrimSet>,
 }
 
-/// The four slot layouts exercised: disjoint predecessors, overlapping
-/// predecessors (shared primitive B), a three-way primitive join, and an
-/// `NSEQ` query with a negation guard slot.
+/// `left.attr = right.attr`.
+fn eq(left: u8, right: u8, attr: u8) -> Predicate {
+    Predicate::binary(
+        (PrimId(left), AttrId(attr)),
+        CmpOp::Eq,
+        (PrimId(right), AttrId(attr)),
+        0.1,
+    )
+}
+
+/// The slot layouts exercised. Without predicates: disjoint predecessors,
+/// overlapping predecessors (shared primitive B), a three-way primitive
+/// join, and an `NSEQ` query with a negation guard slot. With predicates:
+/// a three-way `A = B = C` chain; a chain joining A and C only through B,
+/// which sits in a third slot; overlapping slots under the chain; `A = C`
+/// mixed with `!=`, `<`, and a unary predicate; and an `NSEQ` whose
+/// negated B is tied into the chain (so that link stays out of the
+/// partition class).
 fn shape(kind: u8, window: Timestamp) -> Shape {
-    let seq_abc = || {
+    let seq_abc = |predicates: Vec<Predicate>| {
         Query::build(
             QueryId(0),
             &Pattern::seq([
@@ -44,39 +64,82 @@ fn shape(kind: u8, window: Timestamp) -> Shape {
                 Pattern::leaf(EventTypeId(1)),
                 Pattern::leaf(EventTypeId(2)),
             ]),
-            vec![],
+            predicates,
             window,
         )
         .unwrap()
     };
-    match kind % 4 {
-        0 => Shape {
-            query: seq_abc(),
-            slots: vec![ps([0, 1]), ps([2])],
-        },
-        1 => Shape {
-            query: seq_abc(),
-            slots: vec![ps([0, 1]), ps([1, 2])],
-        },
-        2 => Shape {
-            query: seq_abc(),
-            slots: vec![ps([0]), ps([1]), ps([2])],
-        },
-        _ => Shape {
-            query: Query::build(
-                QueryId(0),
-                &Pattern::nseq(
-                    Pattern::leaf(EventTypeId(0)),
-                    Pattern::leaf(EventTypeId(1)),
-                    Pattern::leaf(EventTypeId(2)),
+    let nseq_abc = |predicates: Vec<Predicate>| {
+        Query::build(
+            QueryId(0),
+            &Pattern::nseq(
+                Pattern::leaf(EventTypeId(0)),
+                Pattern::leaf(EventTypeId(1)),
+                Pattern::leaf(EventTypeId(2)),
+            ),
+            predicates,
+            window,
+        )
+        .unwrap()
+    };
+    let chain = || vec![eq(0, 1, 0), eq(1, 2, 0)];
+    let (query, slots) = match kind % 9 {
+        0 => (seq_abc(vec![]), vec![ps([0, 1]), ps([2])]),
+        1 => (seq_abc(vec![]), vec![ps([0, 1]), ps([1, 2])]),
+        2 => (seq_abc(vec![]), vec![ps([0]), ps([1]), ps([2])]),
+        3 => (nseq_abc(vec![]), vec![ps([0, 2]), ps([1])]),
+        4 => (seq_abc(chain()), vec![ps([0]), ps([1]), ps([2])]),
+        5 => (
+            seq_abc(vec![eq(0, 1, 0), eq(2, 1, 0)]),
+            vec![ps([0]), ps([2]), ps([1])],
+        ),
+        6 => (seq_abc(chain()), vec![ps([0, 1]), ps([1, 2])]),
+        7 => (
+            seq_abc(vec![
+                eq(0, 2, 0),
+                Predicate::binary(
+                    (PrimId(1), AttrId(1)),
+                    CmpOp::Ne,
+                    (PrimId(2), AttrId(1)),
+                    0.9,
                 ),
-                vec![],
-                window,
-            )
-            .unwrap(),
-            slots: vec![ps([0, 2]), ps([1])],
-        },
-    }
+                Predicate::binary(
+                    (PrimId(0), AttrId(1)),
+                    CmpOp::Lt,
+                    (PrimId(1), AttrId(1)),
+                    0.5,
+                ),
+                Predicate::unary(PrimId(1), AttrId(0), CmpOp::Ne, Value::Int(2), 0.7),
+            ]),
+            vec![ps([0]), ps([1]), ps([2])],
+        ),
+        _ => (
+            nseq_abc(vec![eq(0, 2, 0), eq(0, 1, 0)]),
+            vec![ps([0]), ps([2]), ps([1])],
+        ),
+    };
+    Shape { query, slots }
+}
+
+/// A random attribute value from a pool built to break a wrong partition
+/// key: `None` (attribute missing), NaN, both zeros, strings, the 2⁵³
+/// trio, and — most often — a few small integers so that matches happen.
+fn value(rng: &mut StdRng) -> Option<Value> {
+    const BIG: i64 = 1 << 53;
+    Some(match rng.gen_range(0..16) {
+        0 => return None,
+        1 => Value::Float(f64::NAN),
+        2 => Value::Float(-0.0),
+        3 => Value::Float(0.0),
+        4 => Value::Int(0),
+        5 => Value::Str("a".into()),
+        6 => Value::Str("b".into()),
+        7 => Value::Int(BIG),
+        8 => Value::Int(BIG + 1),
+        9 => Value::Float(BIG as f64),
+        10 => Value::Float(1.0),
+        _ => Value::Int(rng.gen_range(1..4)),
+    })
 }
 
 /// Generates a randomized, bounded-out-of-order arrival stream for the
@@ -88,9 +151,15 @@ fn shape(kind: u8, window: Timestamp) -> Shape {
 fn arrivals(shape: &Shape, window: Timestamp, n: usize, seed: u64) -> Vec<(usize, Match)> {
     let mut rng = StdRng::seed_from_u64(seed);
     let mut seq = 0u64;
-    let mut fresh = |time: Timestamp, ty: u16| {
+    let mut fresh = |rng: &mut StdRng, time: Timestamp, ty: u16| {
         seq += 1;
-        Event::new(seq, EventTypeId(ty), time, NodeId(0))
+        let mut payload = Payload::new();
+        for attr in 0..2 {
+            if let Some(v) = value(rng) {
+                payload.set(AttrId(attr), v);
+            }
+        }
+        Event::with_payload(seq, EventTypeId(ty), time, NodeId(0), payload)
     };
     // Pool of B events reusable by any slot containing primitive 1.
     let mut b_pool: Vec<Event> = Vec::new();
@@ -112,7 +181,7 @@ fn arrivals(shape: &Shape, window: Timestamp, n: usize, seed: u64) -> Vec<(usize
                 let idx = b_pool.len() - 1 - rng.gen_range(0..b_pool.len().min(3));
                 events.push((*prim, b_pool[idx].clone()));
             } else {
-                let e = fresh(pt, prim.0 as u16);
+                let e = fresh(&mut rng, pt, prim.0 as u16);
                 if prim.0 == 1 {
                     b_pool.push(e.clone());
                 }
@@ -129,10 +198,10 @@ fn fingerprints(matches: &[Match]) -> Vec<Vec<u64>> {
 }
 
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(48))]
+    #![proptest_config(ProptestConfig::with_cases(96))]
     #[test]
     fn indexed_join_equals_naive_reference(
-        kind in 0u8..4,
+        kind in 0u8..9,
         window in 10u64..=200,
         slack_idx in 0usize..3,
         stride in 1u64..=300,
@@ -173,6 +242,9 @@ proptest! {
         }
         prop_assert_eq!(indexed.emitted(), naive.emitted());
         prop_assert_eq!(indexed_alt.emitted(), naive.emitted());
+        for s in [indexed.stats(), indexed_alt.stats()] {
+            prop_assert_eq!(s.probes, s.guard_rejects + s.merge_attempts);
+        }
     }
 
     /// The indexed engine's stats stay internally consistent on random
@@ -180,7 +252,7 @@ proptest! {
     /// exceed attempts, and the live count never exceeds the peak.
     #[test]
     fn join_stats_are_consistent(
-        kind in 0u8..4,
+        kind in 0u8..9,
         window in 10u64..=200,
         seed in any::<u64>(),
     ) {
@@ -198,5 +270,25 @@ proptest! {
         prop_assert!(join.buffered() as u64 <= s.peak_buffered);
         prop_assert!(s.merge_success_ratio() >= 0.0 && s.merge_success_ratio() <= 1.0);
         prop_assert!(s.guard_pass_ratio() >= 0.0 && s.guard_pass_ratio() <= 1.0);
+    }
+}
+
+/// The predicate layouts are not vacuous: over a handful of seeds each
+/// one emits matches, so the equivalence above compares real output.
+#[test]
+fn predicate_shapes_emit_matches() {
+    for kind in 4u8..9 {
+        let shape = shape(kind, 100);
+        let emitted: u64 = (0..8u64)
+            .map(|seed| {
+                let mut join =
+                    JoinTask::with_slack(&shape.query, shape.query.prims(), &shape.slots, 2.0);
+                for (slot, m) in arrivals(&shape, 100, 150, seed) {
+                    join.on_match(slot, m);
+                }
+                join.emitted()
+            })
+            .sum();
+        assert!(emitted > 0, "shape {kind} emitted nothing");
     }
 }

@@ -1,6 +1,8 @@
 #!/usr/bin/env sh
 # Tier-1 CI gate: release build, workspace test suite, lint gates, static
-# verification of the example queries/plans, the loom concurrency lane, and
+# verification of the example queries/plans, the loom concurrency lane, the
+# repository benchmark's own tests (perfbench: every executor run checked
+# against the centralized evaluator on tiny workloads), and
 # smoke runs of the matcher join bench, the executor transport bench, the
 # fault-recovery bench, the shared multi-query bench, and the
 # observability bench (emitting BENCH_matcher.json, BENCH_executor.json,
@@ -62,6 +64,9 @@ fi
 
 echo "== loom: model-checked worker/watermark handoff =="
 RUSTFLAGS="--cfg loom" cargo test --release -p muse-runtime --test loom_handoff -q
+
+echo "== perfbench: the benchmark's own tests (reference check, metric names) =="
+cargo test --release --offline --manifest-path perfbench/Cargo.toml -q
 
 if [ "${MUSE_CI_TSAN:-0}" = "1" ]; then
     echo "== tsan: cargo +nightly test -Zsanitizer=thread (opt-in) =="
