@@ -1,14 +1,14 @@
-//! Inter-node transport benchmarks: the threaded executor's batched,
-//! backpressured data plane against the naive per-match transport on the
-//! shared relay stress workload (same workload as `harness -- executor`,
-//! which writes `BENCH_executor.json`). Throughput is reported per
-//! injected event; the two modes are asserted to produce the same number
-//! of sink matches every iteration, so a divergence fails the bench
+//! Inter-node transport benchmark: the threaded executor's batched,
+//! backpressured data plane on the shared relay stress workload (same
+//! workload as `harness -- executor`, which writes `BENCH_executor.json`).
+//! Throughput is reported per injected event; every iteration must produce
+//! the simulator's number of sink matches, so a divergence fails the bench
 //! rather than skewing it.
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use muse_bench::transport_stress::{stress_deployment, stress_network, stress_trace};
-use muse_runtime::threaded::{run_threaded, ThreadedConfig, TransportMode};
+use muse_runtime::sim::{run_simulation, SimConfig};
+use muse_runtime::threaded::{run_threaded, ThreadedConfig};
 use std::hint::black_box;
 
 /// Chunking mirrors `harness -- executor`: enlarged chunks keep barrier
@@ -21,43 +21,33 @@ fn transport_throughput(c: &mut Criterion) {
     let network = stress_network();
     let deployment = stress_deployment(&network);
     let events = stress_trace(&network, 40.0, 42);
-    let expected: usize = {
-        let config = config_for(TransportMode::default());
-        run_threaded(&deployment, &events, &config)
-            .matches
-            .iter()
-            .map(Vec::len)
-            .sum()
+    let expected: usize = run_simulation(&deployment, &events, &SimConfig::default())
+        .matches
+        .iter()
+        .map(Vec::len)
+        .sum();
+    let config = ThreadedConfig {
+        slack: SLACK,
+        chunk_ticks: Some(CHUNK_TICKS),
+        ..ThreadedConfig::default()
     };
 
     let mut group = c.benchmark_group("transport");
     group.sample_size(10);
     group.measurement_time(std::time::Duration::from_secs(10));
     group.throughput(Throughput::Elements(events.len() as u64));
-    for (name, transport) in [
-        ("transport_batched", TransportMode::default()),
-        ("transport_naive", TransportMode::Naive),
-    ] {
-        let config = config_for(transport);
-        group.bench_function(name, |b| {
-            b.iter(|| {
-                let report = run_threaded(&deployment, black_box(&events), &config);
-                let matches: usize = report.matches.iter().map(Vec::len).sum();
-                assert_eq!(matches, expected, "{name} diverged from the batched run");
-                black_box(matches)
-            })
-        });
-    }
+    group.bench_function("transport_batched", |b| {
+        b.iter(|| {
+            let report = run_threaded(&deployment, black_box(&events), &config);
+            let matches: usize = report.matches.iter().map(Vec::len).sum();
+            assert_eq!(
+                matches, expected,
+                "threaded run diverged from the simulator"
+            );
+            black_box(matches)
+        })
+    });
     group.finish();
-}
-
-fn config_for(transport: TransportMode) -> ThreadedConfig {
-    ThreadedConfig {
-        transport,
-        slack: SLACK,
-        chunk_ticks: Some(CHUNK_TICKS),
-        ..ThreadedConfig::default()
-    }
 }
 
 criterion_group!(benches, transport_throughput);

@@ -11,8 +11,9 @@
 //! written as JSON for downstream plotting. Extra experiments are
 //! run only when named explicitly: `ablation` (design-choice ablations),
 //! `matcher` (indexed vs. naive join engine; written as
-//! `BENCH_matcher.json`), `executor` (batched vs. naive inter-node
-//! transport on the threaded executor; written as `BENCH_executor.json`),
+//! `BENCH_matcher.json`), `executor` (the threaded executor's batched
+//! transport, match sets checked against the simulator; written as
+//! `BENCH_executor.json`),
 //! `faults` (crash recovery on the threaded executor; written as
 //! `BENCH_faults.json`), `multiquery` (shared evaluation at scale;
 //! `BENCH_multiquery.json`), `observe` (provenance overhead, witness

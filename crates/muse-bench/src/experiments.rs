@@ -61,9 +61,9 @@ pub enum ExperimentOutput {
         /// Per-scenario latency and throughput of MS vs. OP.
         rows: Vec<RunRow>,
     },
-    /// Threaded-executor transport throughput: batched/backpressured vs.
-    /// naive per-match shipping (written as `BENCH_executor.json`; not a
-    /// paper artifact).
+    /// Threaded-executor throughput with the batched, backpressured
+    /// transport, its per-query match sets checked against the simulator's
+    /// (written as `BENCH_executor.json`; not a paper artifact).
     ExecutorBench {
         /// Experiment id ("executor").
         id: String,
@@ -75,13 +75,12 @@ pub enum ExperimentOutput {
         batch: usize,
         /// Bounded per-node channel capacity, in frames.
         capacity: usize,
-        /// Batched-transport measurements.
+        /// Threaded-executor measurements.
         batched: TransportRunRow,
-        /// Naive-transport measurements.
-        naive: TransportRunRow,
-        /// Batched events/sec over naive events/sec.
-        speedup: f64,
-        /// Whether both transports produced identical per-query match sets.
+        /// Sink matches of the simulator on the same trace.
+        sim_matches: u64,
+        /// Whether the threaded executor reproduced the simulator's
+        /// per-query match sets.
         fingerprints_equal: bool,
     },
     /// Threaded-executor crash recovery (§7.3 Ambrosia): uninterrupted
@@ -254,10 +253,10 @@ pub struct ObserveModeRow {
     pub provenance_dropped: u64,
 }
 
-/// One transport mode's measurements in the executor bench.
+/// The threaded executor's measurements in the executor bench.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct TransportRunRow {
-    /// Transport name ("batched" or "naive").
+    /// Transport name ("batched").
     pub transport: String,
     /// Injected events per wall-clock second (best of reps).
     pub events_per_sec: f64,
@@ -884,10 +883,9 @@ fn fig8_case_study(
 }
 
 /// The `executor` experiment (`BENCH_executor.json`): threaded-executor
-/// throughput with the batched, backpressured transport vs. the naive
-/// per-match transport on the transport-bound relay workload
-/// ([`crate::transport_stress`]), with the per-query match sets
-/// cross-checked.
+/// throughput with the batched, backpressured transport on the
+/// transport-bound relay workload ([`crate::transport_stress`]), with its
+/// per-query match sets checked against the simulator's.
 fn executor_bench(
     id: &str,
     settings: &SweepSettings,
@@ -905,16 +903,17 @@ fn executor_bench_sized(
 ) -> ExperimentOutput {
     use crate::transport_stress::{stress_deployment, stress_network, stress_trace};
     use muse_runtime::matcher::Match;
+    use muse_runtime::sim::{run_simulation, SimConfig};
     use muse_runtime::threaded::TransportMode;
     use std::collections::BTreeSet;
 
-    // Both transports run with the same enlarged chunk (20 windows): the
+    // The threaded executor runs with an enlarged chunk (10 windows): the
     // relay window is short, and per-window chunks would make barrier
     // rounds, not the data plane, the measured cost. The eviction slack is
     // raised to cover it — remote deliveries can land a full chunk late,
     // so `slack * window` must stay above `chunk` or window stores evict
-    // partials that a late frame still needs (transport-dependent match
-    // loss, which the fingerprint check below would flag).
+    // partials that a late frame still needs (match loss, which the
+    // fingerprint check below would flag).
     const CHUNK_TICKS: muse_core::event::Timestamp = 10 * crate::transport_stress::WINDOW;
     const SLACK: f64 = 12.0;
     let scenario = "relay";
@@ -922,80 +921,65 @@ fn executor_bench_sized(
     let ms = stress_deployment(&network);
     let trace_events = stress_trace(&network, duration, settings.seed);
     let reps = settings.reps.max(1);
-    let (batch, capacity) = match TransportMode::default() {
-        TransportMode::Batched { batch, capacity } => (batch, capacity),
-        TransportMode::Naive => unreachable!("default transport is batched"),
+    let TransportMode { batch, capacity } = TransportMode::default();
+    let fingerprints = |matches: &[Vec<Match>]| -> Vec<BTreeSet<Vec<u64>>> {
+        matches
+            .iter()
+            .map(|q| q.iter().map(Match::fingerprint).collect())
+            .collect()
     };
 
-    // Best-of-reps timing per transport; fingerprints come from the best
-    // rep (the executor is deterministic up to thread interleaving, and
-    // match *sets* are interleaving-independent).
-    let measure =
-        |transport: TransportMode, name: &str| -> (TransportRunRow, Vec<BTreeSet<Vec<u64>>>) {
-            let config = ThreadedConfig {
-                transport,
-                slack: SLACK,
-                chunk_ticks: Some(CHUNK_TICKS),
-                ..ThreadedConfig::default()
-            };
-            // One untimed warmup rep: the first run after process start pays
-            // for faulting the trace in and warming the allocator, and always
-            // hitting the first-measured transport with that cost skews the
-            // ratio between the two.
-            let _ = run_threaded(&ms, &trace_events, &config);
-            let mut best: Option<muse_runtime::threaded::ThreadedReport> = None;
-            for _ in 0..reps {
-                let report = run_threaded(&ms, &trace_events, &config);
-                if best.as_ref().is_none_or(|b| report.wall_time < b.wall_time) {
-                    best = Some(report);
-                }
-            }
-            let report = best.expect("reps >= 1");
-            let fps: Vec<BTreeSet<Vec<u64>>> = report
-                .matches
-                .iter()
-                .map(|q| q.iter().map(Match::fingerprint).collect())
-                .collect();
-            let t = &report.metrics.transport;
-            let mean_batch = if t.frames_sent > 0 {
-                t.messages_framed as f64 / t.frames_sent as f64
-            } else {
-                0.0
-            };
-            let row = TransportRunRow {
-                transport: name.to_string(),
-                events_per_sec: report.events_per_sec,
-                wall_ms: report.wall_time.as_secs_f64() * 1e3,
-                latency_us: report
-                    .latency_summary_ns()
-                    .map(|s| s.map(|v| v as f64 / 1e3))
-                    .unwrap_or([0.0; 5]),
-                matches: report.metrics.sink_matches,
-                frames_sent: t.frames_sent,
-                messages_framed: t.messages_framed,
-                mean_batch,
-                blocked_sends: t.blocked_sends,
-                pool_reuse_ratio: t.pool_reuse_ratio(),
-                peak_queue_depth: t.peak_queue_depth,
-            };
-            (row, fps)
-        };
-
-    let (batched, batched_fps) = measure(TransportMode::default(), "batched");
-    let (naive, naive_fps) = measure(TransportMode::Naive, "naive");
-    let fingerprints_equal = batched_fps == naive_fps;
-    let speedup = batched.events_per_sec / naive.events_per_sec;
+    // Best-of-reps timing; fingerprints come from the best rep (the
+    // executor is deterministic up to thread interleaving, and match
+    // *sets* are interleaving-independent).
+    let config = ThreadedConfig {
+        slack: SLACK,
+        chunk_ticks: Some(CHUNK_TICKS),
+        ..ThreadedConfig::default()
+    };
+    // One untimed warmup rep: the first run after process start pays for
+    // faulting the trace in and warming the allocator.
+    let _ = run_threaded(&ms, &trace_events, &config);
+    let mut best: Option<muse_runtime::threaded::ThreadedReport> = None;
+    for _ in 0..reps {
+        let report = run_threaded(&ms, &trace_events, &config);
+        if best.as_ref().is_none_or(|b| report.wall_time < b.wall_time) {
+            best = Some(report);
+        }
+    }
+    let report = best.expect("reps >= 1");
+    let t = &report.metrics.transport;
+    let mean_batch = if t.frames_sent > 0 {
+        t.messages_framed as f64 / t.frames_sent as f64
+    } else {
+        0.0
+    };
+    let batched = TransportRunRow {
+        transport: "batched".to_string(),
+        events_per_sec: report.events_per_sec,
+        wall_ms: report.wall_time.as_secs_f64() * 1e3,
+        latency_us: report
+            .latency_summary_ns()
+            .map(|s| s.map(|v| v as f64 / 1e3))
+            .unwrap_or([0.0; 5]),
+        matches: report.metrics.sink_matches,
+        frames_sent: t.frames_sent,
+        messages_framed: t.messages_framed,
+        mean_batch,
+        blocked_sends: t.blocked_sends,
+        pool_reuse_ratio: t.pool_reuse_ratio(),
+        peak_queue_depth: t.peak_queue_depth,
+    };
+    let sim = run_simulation(&ms, &trace_events, &SimConfig::default());
+    let fingerprints_equal = fingerprints(&report.matches) == fingerprints(&sim.matches);
 
     // A separate instrumented pass (telemetry sampling has overhead, so it
     // stays out of the timed runs): one batched run with the collector's
     // spec, recorded under `<id>/batched` for the harness summary tables.
     if let Some(tel) = tel {
         let config = ThreadedConfig {
-            transport: TransportMode::default(),
-            slack: SLACK,
-            chunk_ticks: Some(CHUNK_TICKS),
             telemetry: Some(tel.spec()),
-            ..ThreadedConfig::default()
+            ..config
         };
         let mut report = run_threaded(&ms, &trace_events, &config);
         if let Some(run) = report.telemetry.take() {
@@ -1010,8 +994,7 @@ fn executor_bench_sized(
         batch,
         capacity,
         batched,
-        naive,
-        speedup,
+        sim_matches: sim.metrics.sink_matches,
         fingerprints_equal,
     }
 }
@@ -2066,9 +2049,8 @@ impl ExperimentOutput {
                 events,
                 batch,
                 capacity,
-                batched,
-                naive,
-                speedup,
+                batched: r,
+                sim_matches,
                 fingerprints_equal,
             } => {
                 let _ = writeln!(
@@ -2090,25 +2072,24 @@ impl ExperimentOutput {
                     "reuse",
                     "q-peak"
                 );
-                for r in [batched, naive] {
-                    let _ = writeln!(
-                        out,
-                        "{:>8} | {:>12.0} | {:>10.1} | {:>8} | {:>10} | {:>10} | {:>8.1} | {:>7} | {:>5.0}% | {:>8}",
-                        r.transport,
-                        r.events_per_sec,
-                        r.wall_ms,
-                        r.matches,
-                        r.frames_sent,
-                        r.messages_framed,
-                        r.mean_batch,
-                        r.blocked_sends,
-                        r.pool_reuse_ratio * 100.0,
-                        r.peak_queue_depth
-                    );
-                }
                 let _ = writeln!(
                     out,
-                    "speedup: {speedup:.2}x, match sets identical: {fingerprints_equal}"
+                    "{:>8} | {:>12.0} | {:>10.1} | {:>8} | {:>10} | {:>10} | {:>8.1} | {:>7} | {:>5.0}% | {:>8}",
+                    r.transport,
+                    r.events_per_sec,
+                    r.wall_ms,
+                    r.matches,
+                    r.frames_sent,
+                    r.messages_framed,
+                    r.mean_batch,
+                    r.blocked_sends,
+                    r.pool_reuse_ratio * 100.0,
+                    r.peak_queue_depth
+                );
+                let _ = writeln!(
+                    out,
+                    "simulator matches: {sim_matches}, match sets identical to the simulator: \
+                     {fingerprints_equal}"
                 );
             }
             ExperimentOutput::FaultBench {
@@ -2413,27 +2394,28 @@ mod tests {
         match &out {
             ExperimentOutput::ExecutorBench {
                 batched,
-                naive,
+                sim_matches,
                 fingerprints_equal,
                 ..
             } => {
-                assert!(*fingerprints_equal, "transports diverged");
-                assert_eq!(batched.matches, naive.matches);
+                assert!(
+                    *fingerprints_equal,
+                    "threaded run diverged from the simulator"
+                );
+                assert_eq!(batched.matches, *sim_matches);
                 assert!(batched.matches > 0, "workload must produce matches");
                 assert!(batched.frames_sent > 0, "plan must ship frames");
-                // The naive baseline ships one message per frame and never
-                // recycles; the batched transport must do strictly better
-                // on both axes.
-                assert_eq!(naive.frames_sent, naive.messages_framed);
-                assert_eq!(naive.pool_reuse_ratio, 0.0);
+                // Batching packs several messages into a frame and recycles
+                // frame buffers.
                 assert!(batched.frames_sent < batched.messages_framed);
                 assert!(batched.mean_batch > 1.0);
+                assert!(batched.pool_reuse_ratio > 0.0);
             }
             other => panic!("unexpected output {other:?}"),
         }
         assert_eq!(out.id(), "executor");
         let text = out.render();
-        assert!(text.contains("speedup"));
+        assert!(text.contains("simulator"));
         assert!(text.contains("batched"));
         let (label, run) = tel.runs().next().expect("one instrumented run");
         assert_eq!(label, "executor/batched");

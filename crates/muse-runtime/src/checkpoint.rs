@@ -607,34 +607,6 @@ pub fn decode(bytes: &[u8]) -> Result<Snapshot, CheckpointError> {
     })
 }
 
-/// Grafts snapshot task states onto freshly built per-task join state.
-/// `make` instantiates the join for a task index (`None` for sources);
-/// used by both executors so the structural validation lives in one
-/// place.
-pub(crate) fn restore_task<J>(
-    deployment: &Deployment,
-    task: usize,
-    saved: Option<JoinState>,
-    join: &mut Option<J>,
-    restore: impl FnOnce(&mut J, JoinState) -> Result<(), &'static str>,
-) -> Result<(), CheckpointError> {
-    match (&deployment.tasks[task].kind, saved, join) {
-        (TaskKind::Source { .. }, None, _) => Ok(()),
-        (TaskKind::Join { .. }, Some(state), Some(j)) => {
-            restore(j, state).map_err(CheckpointError::Shape)
-        }
-        (TaskKind::Source { .. }, Some(_), _) => {
-            Err(CheckpointError::Shape("join state for a source task"))
-        }
-        (TaskKind::Join { .. }, None, _) => {
-            Err(CheckpointError::Shape("missing join state for a join task"))
-        }
-        (TaskKind::Join { .. }, Some(_), None) => {
-            Err(CheckpointError::Shape("join task failed to instantiate"))
-        }
-    }
-}
-
 // ---------------------------------------------------------------------
 // Body field codecs.
 

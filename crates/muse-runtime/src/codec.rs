@@ -7,12 +7,13 @@
 //! it is not versioned itself — snapshots wrap it in a versioned,
 //! plan-fingerprinted envelope (see `checkpoint`).
 //!
-//! The in-run decoders ([`decode_event`], [`decode_match`]) panic on
-//! malformed input, which is fine for channel payloads this process just
-//! encoded; the checked `try_*` variants exist for the snapshot reader,
-//! where the input is untrusted bytes from disk.
+//! Each format has one decoder, [`try_decode_match`] / [`try_decode_event`],
+//! which returns `None` on truncated or malformed input instead of
+//! panicking: the snapshot reader feeds it untrusted bytes from disk, and
+//! the executors never decode in-run (channel messages carry `Match`
+//! values, and byte accounting uses [`encoded_len`]).
 
-use bytes::{Buf, BufMut, Bytes, BytesMut};
+use bytes::{BufMut, Bytes, BytesMut};
 use muse_core::event::{Event, Payload, Value};
 use muse_core::types::{AttrId, EventTypeId, NodeId, PrimId};
 
@@ -29,27 +30,9 @@ pub fn encode_match(m: &Match) -> Bytes {
     buf.freeze()
 }
 
-/// Decodes a match.
-///
-/// # Panics
-///
-/// Panics on malformed input (the format is only produced by
-/// [`encode_match`]).
-pub fn decode_match(mut buf: impl Buf) -> Match {
-    let n = buf.get_u16() as usize;
-    let mut entries = Vec::with_capacity(n);
-    for _ in 0..n {
-        let prim = PrimId(buf.get_u8());
-        let event = decode_event(&mut buf);
-        entries.push((prim, event));
-    }
-    Match::new(entries)
-}
-
-/// Checked variant of [`decode_match`] for untrusted input (snapshot
-/// bytes): returns `None` on truncation or a malformed value instead of
-/// panicking. Consumes from the front of `buf` exactly as far as the
-/// match extends on success.
+/// Decodes a match from the front of `buf`, consuming exactly as far as
+/// the match extends. Returns `None` on truncation or a malformed value
+/// (input may be untrusted snapshot bytes).
 pub fn try_decode_match(buf: &mut &[u8]) -> Option<Match> {
     let n = try_get_u16(buf)? as usize;
     let mut entries = Vec::with_capacity(n.min(256));
@@ -61,8 +44,7 @@ pub fn try_decode_match(buf: &mut &[u8]) -> Option<Match> {
     Some(Match::new(entries))
 }
 
-/// Checked variant of [`decode_event`] for untrusted input; see
-/// [`try_decode_match`].
+/// Decodes an event from the front of `buf`; see [`try_decode_match`].
 pub fn try_decode_event(buf: &mut &[u8]) -> Option<Event> {
     let seq = try_get_u64(buf)?;
     let ty = EventTypeId(try_get_u16(buf)?);
@@ -156,32 +138,6 @@ pub fn encode_event(e: &Event, buf: &mut BytesMut) {
     }
 }
 
-/// Decodes an event from the buffer.
-pub fn decode_event(buf: &mut impl Buf) -> Event {
-    let seq = buf.get_u64();
-    let ty = EventTypeId(buf.get_u16());
-    let time = buf.get_u64();
-    let origin = NodeId(buf.get_u16());
-    let n_attrs = buf.get_u8() as usize;
-    let mut payload = Payload::new();
-    for _ in 0..n_attrs {
-        let attr = AttrId(buf.get_u8());
-        let value = match buf.get_u8() {
-            0 => Value::Int(buf.get_i64()),
-            1 => Value::Float(buf.get_f64()),
-            2 => {
-                let len = buf.get_u32() as usize;
-                let mut bytes = vec![0u8; len];
-                buf.copy_to_slice(&mut bytes);
-                Value::Str(String::from_utf8(bytes).expect("valid UTF-8"))
-            }
-            tag => panic!("unknown value tag {tag}"),
-        };
-        payload.set(attr, value);
-    }
-    Event::with_payload(seq, ty, time, origin, payload)
-}
-
 /// Encoded size of one event in bytes, computed arithmetically (no buffer
 /// is written). Kept in lockstep with [`encode_event`]; the equality is
 /// asserted by the codec property suite.
@@ -215,6 +171,7 @@ pub fn encoded_len(m: &Match) -> usize {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use bytes::Buf;
 
     fn sample_event() -> Event {
         let mut p = Payload::new();
@@ -229,8 +186,11 @@ mod tests {
         let e = sample_event();
         let mut buf = BytesMut::new();
         encode_event(&e, &mut buf);
-        let back = decode_event(&mut buf.freeze());
+        let encoded = buf.freeze();
+        let mut slice = encoded.chunk();
+        let back = try_decode_event(&mut slice).expect("event decodes");
         assert_eq!(back, e);
+        assert!(slice.is_empty(), "decode must consume the exact encoding");
     }
 
     #[test]
@@ -240,14 +200,14 @@ mod tests {
             (PrimId(2), Event::new(5, EventTypeId(1), 10, NodeId(0))),
         ]);
         let encoded = encode_match(&m);
-        let back = decode_match(encoded);
+        let back = try_decode_match(&mut encoded.chunk()).expect("match decodes");
         assert_eq!(back, m);
     }
 
     #[test]
     fn empty_match_roundtrip() {
         let m = Match::new(vec![]);
-        assert_eq!(decode_match(encode_match(&m)), m);
+        assert_eq!(try_decode_match(&mut encode_match(&m).chunk()), Some(m));
     }
 
     #[test]

@@ -29,6 +29,7 @@ pub mod codec;
 pub mod deploy;
 pub mod drift;
 pub mod flight;
+mod kernel;
 pub mod matcher;
 pub mod metrics;
 pub mod sim;

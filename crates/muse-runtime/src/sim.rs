@@ -14,13 +14,12 @@
 //! of §4.4) and the encoded bytes.
 
 use crate::checkpoint::{CheckpointError, PendingDelivery, Snapshot};
-use crate::codec::encoded_len;
-use crate::deploy::{Deployment, TaskKind};
+use crate::deploy::Deployment;
+use crate::kernel::{build_joins, EventTimeLag, Kernel, Outbound};
 use crate::matcher::{JoinTask, Match};
 use crate::metrics::Metrics;
 use crate::telemetry::{ClockDomain, ExecTelemetry, RunTelemetry, TelemetrySpec};
 use muse_core::event::{Event, Timestamp};
-use muse_core::types::NodeId;
 use serde::{Deserialize, Serialize};
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
@@ -50,18 +49,8 @@ impl Default for SimConfig {
     }
 }
 
-/// Runtime state of one task.
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub enum TaskState {
-    /// A source task is stateless.
-    Source,
-    /// A join task with its buffered matches (boxed: join state is large
-    /// compared to the empty source variant).
-    Join(Box<JoinTask>),
-}
-
 /// A scheduled match delivery.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 struct QItem {
     time: Timestamp,
     trigger: u64,
@@ -98,24 +87,6 @@ impl HeapEntry {
     }
 }
 
-/// Serializable executor state (everything but the deployment itself); the
-/// unit of checkpointing.
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct SimState {
-    /// Per-task runtime state.
-    pub states: Vec<TaskState>,
-    /// Pending deliveries (drained heap).
-    pending: Vec<QItem>,
-    next_sub: u64,
-    /// Collected metrics.
-    pub metrics: Metrics,
-    /// Sink matches per query (parallel to `Deployment::queries`).
-    pub matches: Vec<Vec<Match>>,
-    /// Transmission-multiplexing memory (see `SimExecutor::sent`).
-    #[serde(default)]
-    sent: Vec<(u64, NodeId, NodeId, u64)>,
-}
-
 /// The result of a completed simulation.
 #[derive(Debug, Clone)]
 pub struct SimReport {
@@ -127,51 +98,40 @@ pub struct SimReport {
     pub telemetry: Option<RunTelemetry>,
 }
 
-/// A resumable discrete-event executor.
+/// A resumable discrete-event executor: the execution kernel over every
+/// task, driven by a virtual-time delivery heap.
 pub struct SimExecutor<'a> {
-    deployment: &'a Deployment,
     config: SimConfig,
-    states: Vec<TaskState>,
+    kernel: Kernel<'a, EventTimeLag>,
     heap: BinaryHeap<HeapEntry>,
     next_sub: u64,
-    metrics: Metrics,
-    matches: Vec<Vec<Match>>,
-    /// Already-transmitted streams `(stream sig, from, to, match hash)`:
-    /// identical matches of semantically identical tasks are shipped to a
-    /// node once and multiplexed (cross-query stream reuse at runtime).
-    sent: std::collections::HashSet<(u64, NodeId, NodeId, u64), MuxBuildHasher>,
-    /// Telemetry collection state (when enabled by the config).
-    telemetry: Option<ExecTelemetry>,
+    /// The kernel's outbound deliveries, awaiting scheduling (kept to
+    /// reuse its allocation).
+    out: Vec<Outbound>,
 }
 
 impl<'a> SimExecutor<'a> {
     /// Creates an executor with fresh task state.
     pub fn new(deployment: &'a Deployment, config: SimConfig) -> Self {
-        let states = (0..deployment.tasks.len())
-            .map(|i| match &deployment.tasks[i].kind {
-                TaskKind::Source { .. } => TaskState::Source,
-                TaskKind::Join { .. } => TaskState::Join(Box::new(
-                    deployment
-                        .make_join(i, config.slack)
-                        .expect("join task instantiates"),
-                )),
-            })
-            .collect();
-        let matches = vec![Vec::new(); deployment.queries.len()];
-        let metrics = Metrics::new(deployment.num_nodes);
+        let joins =
+            build_joins(deployment, config.slack, |_| true, None).expect("join task instantiates");
+        Self::with_joins(deployment, config, joins)
+    }
+
+    fn with_joins(
+        deployment: &'a Deployment,
+        config: SimConfig,
+        joins: Vec<Option<JoinTask>>,
+    ) -> Self {
         let telemetry = config.telemetry.as_ref().map(|spec| {
             ExecTelemetry::new(ClockDomain::VirtualTicks, spec, deployment.tasks.len())
         });
         Self {
-            deployment,
+            kernel: Kernel::new(deployment, joins, EventTimeLag, telemetry),
             config,
-            states,
             heap: BinaryHeap::new(),
             next_sub: 0,
-            metrics,
-            matches,
-            sent: Default::default(),
-            telemetry,
+            out: Vec::new(),
         }
     }
 
@@ -180,7 +140,8 @@ impl<'a> SimExecutor<'a> {
     pub fn process_trace(&mut self, events: &[Event]) {
         for event in events {
             self.maybe_sample(event.time);
-            self.inject(event);
+            self.kernel.inject(event, &event.time, &mut self.out);
+            self.schedule(event.time, event.seq);
             self.drain();
         }
     }
@@ -189,6 +150,7 @@ impl<'a> SimExecutor<'a> {
     /// at virtual time `now`.
     fn maybe_sample(&mut self, now: Timestamp) {
         if self
+            .kernel
             .telemetry
             .as_ref()
             .is_some_and(|tel| tel.sample_due(now))
@@ -199,20 +161,21 @@ impl<'a> SimExecutor<'a> {
 
     /// Emits one series sample per join task unconditionally.
     fn sample(&mut self, now: Timestamp) {
-        let Some(tel) = &mut self.telemetry else {
+        let kernel = &mut self.kernel;
+        let Some(tel) = &mut kernel.telemetry else {
             return;
         };
         let queue_depth = self.heap.len() as u64;
-        for (i, state) in self.states.iter().enumerate() {
-            let TaskState::Join(join) = state else {
+        for (i, join) in kernel.joins.iter().enumerate() {
+            let Some(join) = join else {
                 continue;
             };
             let stats = join.stats();
             tel.record_task_sample(
                 now,
                 i,
-                self.deployment.tasks[i].node.index(),
-                self.deployment.task_label(i),
+                kernel.deployment.tasks[i].node.index(),
+                kernel.deployment.task_label(i),
                 queue_depth,
                 join.buffered() as u64,
                 now.saturating_sub(join.last_seen()),
@@ -222,257 +185,50 @@ impl<'a> SimExecutor<'a> {
         tel.end_sample(now);
     }
 
-    /// Injects one event into the source tasks at its origin, consulting
-    /// the deployment's discrimination index first: candidate tasks whose
-    /// predicate bands reject the event are pruned without evaluating a
-    /// single predicate.
-    fn inject(&mut self, event: &Event) {
-        let deployment = self.deployment;
-        let candidates = deployment.candidates_for(event.origin, event.ty);
-        if candidates.is_empty() {
-            return;
-        }
-        self.metrics.events_injected += 1;
-        self.metrics.record_processed(event.origin.index());
-        if let Some(tel) = &mut self.telemetry {
-            tel.on_inject(event.time, event.origin.index(), candidates[0].task, event);
-        }
-        let mut admitted = 0u64;
-        for cand in candidates {
-            let admits = cand.admits(event);
-            if let Some(tel) = &mut self.telemetry {
-                tel.on_candidate(cand.task, admits);
-            }
-            if !admits {
-                continue;
-            }
-            admitted += 1;
-            let task = cand.task;
-            let TaskKind::Source {
-                prim, predicates, ..
-            } = &deployment.tasks[task].kind
-            else {
-                unreachable!("candidates_for returns source tasks");
-            };
-            let query = &deployment.queries[deployment.tasks[task].query_idx];
-            let passes = predicates.iter().all(|&pi| {
-                query.predicates()[pi].evaluate(|p| (p == *prim).then_some(event)) == Some(true)
-            });
-            if !passes {
-                continue;
-            }
-            if let Some(tel) = &mut self.telemetry {
-                tel.on_emit(task, event.time, 1);
-            }
-            let m = Match::single(*prim, event.clone());
-            self.route(task, vec![m], event.time, event.seq);
-        }
-        self.metrics
-            .discrimination
-            .observe(candidates.len() as u64, admitted);
-    }
-
-    /// Routes emitted matches of a task: schedules deliveries, counting
-    /// network messages once per (match, remote target node).
-    ///
-    /// The destination sets come from the deployment's precomputed
-    /// [`crate::deploy::Fanout`] (shared with the threaded executor's
-    /// transport), so no per-emission route-table clone or per-match
-    /// destination vector is built.
-    fn route(&mut self, task: usize, outs: Vec<Match>, time: Timestamp, trigger: u64) {
-        if outs.is_empty() {
-            return;
-        }
-        // Copy the deployment reference out of `self` so route/fanout
-        // borrows don't conflict with the metric and heap updates below.
-        let deployment = self.deployment;
-        let routes = &deployment.routes[task];
-        if routes.is_empty() {
-            return;
-        }
-        let fanout = &deployment.fanouts[task];
-        let own_node = deployment.tasks[task].node;
-        for m in outs {
-            // Count each remote node once (§4.4: matches are shipped to a
-            // node once and shared by its placements).
-            if !fanout.remote_nodes.is_empty() {
-                let bytes = encoded_len(&m) as u64;
-                let sig = deployment.tasks[task].stream_sig;
-                let mhash = match_hash(&m);
-                for &n in &fanout.remote_nodes {
-                    let n = NodeId(n as u16);
-                    if self.sent.insert((sig, own_node, n, mhash)) {
-                        self.metrics.messages_sent += 1;
-                        self.metrics.bytes_sent += bytes;
-                        if let Some(tel) = &mut self.telemetry {
-                            tel.on_ship(time, own_node.index(), n.index(), task, bytes);
-                        }
-                    }
-                }
-            }
-            for r in routes {
-                let delivery_time = if r.remote {
+    /// Schedules the kernel's outbound deliveries at `time` (plus the hop
+    /// latency for remote routes), numbering them in emission order.
+    fn schedule(&mut self, time: Timestamp, trigger: u64) {
+        for o in self.out.drain(..) {
+            self.next_sub += 1;
+            self.heap.push(HeapEntry(QItem {
+                time: if o.remote {
                     time + self.config.latency
                 } else {
-                    self.metrics.local_deliveries += 1;
-                    if let Some(tel) = &mut self.telemetry {
-                        tel.on_local();
-                    }
                     time
-                };
-                debug_assert!(
-                    r.remote || deployment.tasks[r.target].node == own_node,
-                    "local route must stay on the node"
-                );
-                self.next_sub += 1;
-                self.heap.push(HeapEntry(QItem {
-                    time: delivery_time,
-                    trigger,
-                    sub: self.next_sub,
-                    target: r.target,
-                    slot: r.slot,
-                    m: m.clone(),
-                }));
-            }
+                },
+                trigger,
+                sub: self.next_sub,
+                target: o.target,
+                slot: o.slot,
+                m: o.m,
+            }));
         }
     }
 
     /// Processes all pending deliveries.
     fn drain(&mut self) {
         while let Some(HeapEntry(item)) = self.heap.pop() {
-            let spec = &self.deployment.tasks[item.target];
-            let node = spec.node.index();
-            self.metrics.record_processed(node);
-            if let Some(tel) = &mut self.telemetry {
-                tel.on_delivery(item.target);
-            }
-            let outs = match &mut self.states[item.target] {
-                TaskState::Join(join) => join.on_match(item.slot, item.m),
-                TaskState::Source => unreachable!("deliveries only target joins"),
-            };
-            if outs.is_empty() {
-                continue;
-            }
-            if let Some(tel) = &mut self.telemetry {
-                for m in &outs {
-                    tel.on_emit(item.target, m.last_time(), 1);
-                }
-            }
-            if spec.is_sink {
-                // One physical sink may feed many logical queries (shared
-                // deployments): attribute each match to every subscriber so
-                // per-query match sets — and their fingerprints — are
-                // identical to independent evaluation.
-                let deployment = self.deployment;
-                let sink_queries = &deployment.sink_queries[item.target];
-                let prov = self
-                    .telemetry
-                    .as_ref()
-                    .map_or(0, |tel| tel.provenance_sample());
-                for m in &outs {
-                    let latency = item.time.saturating_sub(m.last_time());
-                    let mhash = if prov != 0 { match_hash(m) } else { 0 };
-                    for &query_idx in sink_queries {
-                        self.metrics.sink_matches += 1;
-                        self.metrics.record_latency(latency);
-                        if let Some(tel) = &mut self.telemetry {
-                            tel.on_sink(
-                                item.time,
-                                node,
-                                item.target,
-                                m.len(),
-                                m.last_time(),
-                                latency,
-                            );
-                            if prov != 0 {
-                                tel.on_sink_match(
-                                    item.time,
-                                    node,
-                                    item.target,
-                                    &deployment.queries[query_idx],
-                                    query_idx,
-                                    m,
-                                    mhash,
-                                );
-                            }
-                        }
-                        self.matches[query_idx].push(m.clone());
-                    }
-                }
-            } else if let Some(tel) = &mut self.telemetry {
-                for m in &outs {
-                    tel.on_merge(
-                        item.time,
-                        node,
-                        item.target,
-                        m.len(),
-                        m.last_time().saturating_sub(m.first_time()),
-                    );
-                }
-            }
-            self.route(item.target, outs, item.time, item.trigger);
+            self.kernel
+                .deliver(item.target, item.slot, item.m, &item.time, &mut self.out);
+            self.schedule(item.time, item.trigger);
         }
     }
 
     /// The metrics collected so far.
     pub fn metrics(&self) -> &Metrics {
-        &self.metrics
+        &self.kernel.metrics
     }
 
     /// The sink matches collected so far, per query.
     pub fn matches(&self) -> &[Vec<Match>] {
-        &self.matches
-    }
-
-    /// Extracts the serializable state (checkpointing support).
-    pub fn state(&self) -> SimState {
-        let mut pending: Vec<QItem> = self.heap.iter().map(|e| e.0.clone()).collect();
-        pending.sort_by_key(|i| (i.time, i.trigger, i.sub));
-        let mut sent: Vec<(u64, NodeId, NodeId, u64)> = self.sent.iter().copied().collect();
-        sent.sort_unstable();
-        SimState {
-            states: self.states.clone(),
-            pending,
-            next_sub: self.next_sub,
-            metrics: self.metrics.clone(),
-            matches: self.matches.clone(),
-            sent,
-        }
-    }
-
-    /// Rebuilds an executor from a previously extracted state. Telemetry
-    /// is observational and not checkpointed: collection restarts fresh
-    /// when the config enables it.
-    pub fn from_state(deployment: &'a Deployment, config: SimConfig, state: SimState) -> Self {
-        let heap = state.pending.into_iter().map(HeapEntry).collect();
-        let telemetry = config.telemetry.as_ref().map(|spec| {
-            ExecTelemetry::new(ClockDomain::VirtualTicks, spec, deployment.tasks.len())
-        });
-        Self {
-            deployment,
-            config,
-            states: state.states,
-            heap,
-            next_sub: state.next_sub,
-            metrics: state.metrics,
-            matches: state.matches,
-            sent: state.sent.into_iter().collect(),
-            telemetry,
-        }
+        &self.kernel.matches
     }
 
     /// Captures the executor's state as a portable [`Snapshot`] — the
     /// schema shared with the threaded executor (see [`crate::checkpoint`]).
     pub fn to_snapshot(&self) -> Snapshot {
-        let tasks = self
-            .states
-            .iter()
-            .map(|s| match s {
-                TaskState::Source => None,
-                TaskState::Join(join) => Some(join.save_state()),
-            })
-            .collect();
-        let mut pending: Vec<PendingDelivery> = self
+        let mut snap = self.kernel.snapshot();
+        snap.pending = self
             .heap
             .iter()
             .map(|e| PendingDelivery {
@@ -484,24 +240,9 @@ impl<'a> SimExecutor<'a> {
                 m: e.0.m.clone(),
             })
             .collect();
-        pending.sort_by_key(|p| (p.time, p.trigger, p.sub));
-        let mut sent: Vec<(u64, u16, u16, u64)> = self
-            .sent
-            .iter()
-            .map(|&(sig, from, to, mhash)| (sig, from.0, to.0, mhash))
-            .collect();
-        sent.sort_unstable();
-        Snapshot {
-            plan: self.deployment.fingerprint(),
-            tasks,
-            pending,
-            next_sub: self.next_sub,
-            metrics: self.metrics.clone(),
-            matches: self.matches.clone(),
-            wall_latencies_ns: Vec::new(),
-            sent,
-            cursors: Vec::new(),
-        }
+        snap.pending.sort_by_key(|p| (p.time, p.trigger, p.sub));
+        snap.next_sub = self.next_sub;
+        snap
     }
 
     /// Rebuilds an executor from a decoded [`Snapshot`] (which may have
@@ -513,7 +254,7 @@ impl<'a> SimExecutor<'a> {
     pub fn from_snapshot(
         deployment: &'a Deployment,
         config: SimConfig,
-        snap: Snapshot,
+        mut snap: Snapshot,
     ) -> Result<Self, CheckpointError> {
         if snap.tasks.len() != deployment.tasks.len() {
             return Err(CheckpointError::Shape("task count differs from deployment"));
@@ -523,33 +264,18 @@ impl<'a> SimExecutor<'a> {
                 "query count differs from deployment",
             ));
         }
-        let mut states = Vec::with_capacity(deployment.tasks.len());
-        for (i, saved) in snap.tasks.into_iter().enumerate() {
-            let mut join = match &deployment.tasks[i].kind {
-                TaskKind::Source { .. } => None,
-                TaskKind::Join { .. } => Some(
-                    deployment
-                        .make_join(i, config.slack)
-                        .ok_or(CheckpointError::Shape("join task failed to instantiate"))?,
-                ),
-            };
-            crate::checkpoint::restore_task(deployment, i, saved, &mut join, |j, state| {
-                j.restore_state(state)
-            })?;
-            states.push(match join {
-                None => TaskState::Source,
-                Some(j) => TaskState::Join(Box::new(j)),
-            });
+        let joins = build_joins(deployment, config.slack, |_| true, Some(&mut snap.tasks))?;
+        if snap
+            .pending
+            .iter()
+            .any(|p| !joins.get(p.target).is_some_and(Option::is_some))
+        {
+            return Err(CheckpointError::Shape(
+                "pending delivery targets a non-join task",
+            ));
         }
-        for p in &snap.pending {
-            let is_join = matches!(states.get(p.target), Some(TaskState::Join(_)));
-            if !is_join {
-                return Err(CheckpointError::Shape(
-                    "pending delivery targets a non-join task",
-                ));
-            }
-        }
-        let heap = snap
+        let mut executor = Self::with_joins(deployment, config, joins);
+        executor.heap = snap
             .pending
             .into_iter()
             .map(|p| {
@@ -563,25 +289,11 @@ impl<'a> SimExecutor<'a> {
                 })
             })
             .collect();
-        let sent = snap
-            .sent
-            .into_iter()
-            .map(|(sig, from, to, mhash)| (sig, NodeId(from), NodeId(to), mhash))
-            .collect();
-        let telemetry = config.telemetry.as_ref().map(|spec| {
-            ExecTelemetry::new(ClockDomain::VirtualTicks, spec, deployment.tasks.len())
-        });
-        Ok(Self {
-            deployment,
-            config,
-            states,
-            heap,
-            next_sub: snap.next_sub,
-            metrics: snap.metrics,
-            matches: snap.matches,
-            sent,
-            telemetry,
-        })
+        executor.next_sub = snap.next_sub;
+        executor.kernel.metrics = snap.metrics;
+        executor.kernel.matches = snap.matches;
+        executor.kernel.sent = snap.sent.into_iter().collect();
+        Ok(executor)
     }
 
     /// Finishes the run and returns the report, folding per-join engine
@@ -590,108 +302,21 @@ impl<'a> SimExecutor<'a> {
         self.drain();
         // Final series sample at the global watermark before folding.
         let now = self
-            .states
+            .kernel
+            .joins
             .iter()
-            .filter_map(|s| match s {
-                TaskState::Join(j) => Some(j.last_seen()),
-                TaskState::Source => None,
-            })
+            .flatten()
+            .map(|j| j.last_seen())
             .max()
             .unwrap_or(0);
         self.sample(now);
-        for state in &self.states {
-            if let TaskState::Join(join) = state {
-                self.metrics.join.merge(join.stats());
-            }
-        }
-        let telemetry = self.telemetry.take().map(|tel| {
-            let tasks = crate::telemetry::task_summaries(
-                self.deployment,
-                0..self.deployment.tasks.len(),
-                |i| match &self.states[i] {
-                    TaskState::Join(join) => Some(join),
-                    TaskState::Source => None,
-                },
-                &tel,
-            );
-            tel.finish(&self.metrics, tasks)
-        });
+        let telemetry = self.kernel.finish(0..self.kernel.deployment.tasks.len());
         SimReport {
-            matches: self.matches,
-            metrics: self.metrics,
+            matches: self.kernel.matches,
+            metrics: self.kernel.metrics,
             telemetry,
         }
     }
-}
-
-/// A compact hash of a match's constituent events (for transmission
-/// multiplexing; collisions only skew the metric, never the results).
-pub(crate) fn match_hash_for_mux(m: &Match) -> u64 {
-    match_hash(m)
-}
-
-/// The hasher for the transmission-multiplexing `sent` sets.
-///
-/// The set keys are stream signatures and [`match_hash_for_mux`] values —
-/// both already well mixed — so SipHash's keyed preimage resistance buys
-/// nothing here while its per-insert cost shows up in the executor send
-/// path (the set grows with every unique transmission). One multiply-and-
-/// rotate round per word keeps the tuple components from cancelling and
-/// costs a few cycles.
-#[derive(Default)]
-pub(crate) struct MuxHasher(u64);
-
-impl std::hash::Hasher for MuxHasher {
-    #[inline]
-    fn finish(&self) -> u64 {
-        self.0
-    }
-    #[inline]
-    fn write(&mut self, bytes: &[u8]) {
-        for chunk in bytes.chunks(8) {
-            let mut buf = [0u8; 8];
-            buf[..chunk.len()].copy_from_slice(chunk);
-            self.write_u64(u64::from_le_bytes(buf));
-        }
-    }
-    #[inline]
-    fn write_u64(&mut self, v: u64) {
-        self.0 = (self.0 ^ v)
-            .wrapping_mul(0x9e37_79b9_7f4a_7c15)
-            .rotate_left(26);
-    }
-    #[inline]
-    fn write_u16(&mut self, v: u16) {
-        self.write_u64(v as u64)
-    }
-    #[inline]
-    fn write_u32(&mut self, v: u32) {
-        self.write_u64(v as u64)
-    }
-    #[inline]
-    fn write_usize(&mut self, v: usize) {
-        self.write_u64(v as u64)
-    }
-}
-
-/// `HashSet` state for [`MuxHasher`]-keyed multiplexing sets.
-pub(crate) type MuxBuildHasher = std::hash::BuildHasherDefault<MuxHasher>;
-
-fn match_hash(m: &Match) -> u64 {
-    // Only the constituent events identify the physical payload: primitive
-    // operator ids are receiver-side interpretation and differ across
-    // queries for semantically identical streams. Each seq is finalized
-    // through splitmix64 and combined with a commutative add, so the hash
-    // is independent of entry order without sorting (and allocating) a
-    // scratch vector on the send path.
-    let mut acc: u64 = 0;
-    for (_, e) in m.entries() {
-        let mut x = e.seq.wrapping_add(0x9e37_79b9_7f4a_7c15);
-        x = (x ^ (x >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-        x = (x ^ (x >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-        acc = acc.wrapping_add(x ^ (x >> 31));
-    }
-    acc
 }
 
 /// Runs a deployment over a complete global trace.
@@ -745,7 +370,7 @@ mod tests {
     use muse_core::graph::PlanContext;
     use muse_core::network::{Network, NetworkBuilder};
     use muse_core::query::{CmpOp, Pattern, Predicate, Query};
-    use muse_core::types::{AttrId, EventTypeId, PrimId, QueryId};
+    use muse_core::types::{AttrId, EventTypeId, NodeId, PrimId, QueryId};
     use std::collections::BTreeSet;
 
     fn t(i: u16) -> EventTypeId {

@@ -12,11 +12,17 @@
 //! (asserted in tests), while wall-clock throughput and per-match latency
 //! reflect real parallel execution.
 //!
+//! Each node thread runs the execution kernel shared with the simulator
+//! over its own tasks; this module keeps only threads, frames, barriers
+//! and crash recovery. Deliveries between tasks on the same node go
+//! through the node's backlog, which is run to empty after every
+//! injection.
+//!
 //! # Data plane
 //!
-//! The transport ([`TransportMode::Batched`], the default) keeps one output
-//! buffer per destination node and flushes it as a multi-message frame when
-//! it reaches the batch threshold, and at chunk and drain-round boundaries.
+//! The transport ([`TransportMode`]) keeps one output buffer per
+//! destination node and flushes it as a multi-message frame when it
+//! reaches the batch threshold, and at chunk and drain-round boundaries.
 //! Receivers hand emptied frame buffers back to their origin node over an
 //! unbounded return channel, so the steady-state send path recycles buffers
 //! instead of allocating. Data channels are bounded: a full channel rejects
@@ -42,9 +48,9 @@
 //! release-and-drain phase per level ([`negation_release_phases`]).
 
 use crate::checkpoint::{self, CheckpointError, Snapshot};
-use crate::codec::encoded_len;
-use crate::deploy::{Deployment, TaskKind};
+use crate::deploy::Deployment;
 use crate::flight::{FlightRecord, FlightRing};
+use crate::kernel::{build_joins, match_hash, Kernel, LatencyRule, MuxBuildHasher, Outbound};
 use crate::matcher::{JoinTask, Match};
 use crate::metrics::{Metrics, RecoveryStats};
 use crate::telemetry::{names, ClockDomain, ExecTelemetry, GaugeKind, RunTelemetry, TelemetrySpec};
@@ -56,28 +62,21 @@ use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
-/// Inter-node transport flavor of the threaded executor.
+/// Inter-node transport settings of the threaded executor: per-destination
+/// output buffers flushed as multi-message frames over bounded channels,
+/// with a frame-recycling return path and inbox-stealing backpressure.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum TransportMode {
-    /// Per-destination output buffers flushed as multi-message frames over
-    /// bounded channels, with a frame-recycling return path and
-    /// inbox-stealing backpressure. The default.
-    Batched {
-        /// Messages per frame before an eager flush (frames also flush at
-        /// chunk and drain-round boundaries, so they may be smaller).
-        batch: usize,
-        /// Bound of each node's data channel, in frames.
-        capacity: usize,
-    },
-    /// One heap-allocated single-message frame per match over unbounded
-    /// channels — the pre-batching data plane, kept as the measured
-    /// baseline of the `executor` benchmark.
-    Naive,
+pub struct TransportMode {
+    /// Messages per frame before an eager flush (frames also flush at
+    /// chunk and drain-round boundaries, so they may be smaller).
+    pub batch: usize,
+    /// Bound of each node's data channel, in frames.
+    pub capacity: usize,
 }
 
 impl Default for TransportMode {
     fn default() -> Self {
-        Self::Batched {
+        Self {
             batch: 64,
             capacity: 128,
         }
@@ -110,7 +109,7 @@ pub struct ThreadedConfig {
     /// Virtual-time chunk length; defaults to the workload's largest
     /// window.
     pub chunk_ticks: Option<Timestamp>,
-    /// Inter-node transport flavor.
+    /// Inter-node transport settings.
     pub transport: TransportMode,
     /// Telemetry collection; each node thread keeps a private shard
     /// (registry, series, trace) that is merged when the threads join.
@@ -271,14 +270,11 @@ fn remote_depth(deployment: &Deployment) -> usize {
 /// number of extra release-and-drain phases each chunk needs so deferred
 /// candidates released by one negation level reach (and are re-checked by)
 /// the next.
-fn negation_release_phases(deployment: &Deployment, slack: f64) -> usize {
+fn negation_release_phases(deployment: &Deployment, joins: &[Option<JoinTask>]) -> usize {
     let n = deployment.tasks.len();
-    let neg: Vec<bool> = (0..n)
-        .map(|i| {
-            deployment
-                .make_join(i, slack)
-                .is_some_and(|j| j.has_negations())
-        })
+    let neg: Vec<bool> = joins
+        .iter()
+        .map(|j| j.as_ref().is_some_and(JoinTask::has_negations))
         .collect();
     let mut indeg = vec![0usize; n];
     for routes in &deployment.routes {
@@ -336,7 +332,9 @@ pub fn run_threaded(
     events: &[Event],
     config: &ThreadedConfig,
 ) -> ThreadedReport {
-    run_threaded_inner(deployment, events, config, None)
+    let joins =
+        build_joins(deployment, config.slack, |_| true, None).expect("fresh joins instantiate");
+    run_threaded_inner(deployment, events, config, joins, None)
 }
 
 /// Resumes a threaded run from a snapshot (produced by either executor —
@@ -353,25 +351,39 @@ pub fn run_threaded_resumed(
     config: &ThreadedConfig,
     snapshot: &[u8],
 ) -> Result<ThreadedReport, CheckpointError> {
-    let snap = checkpoint::decode_for(deployment, snapshot)?;
+    let mut snap = checkpoint::decode_for(deployment, snapshot)?;
     if !snap.pending.is_empty() {
         return Err(CheckpointError::NotQuiescent);
     }
-    // Validate the graft once up front so the node threads cannot fail:
-    // every join task must accept its saved state.
-    for (i, saved) in snap.tasks.iter().enumerate() {
-        let mut join = deployment.make_join(i, config.slack);
-        checkpoint::restore_task(deployment, i, saved.clone(), &mut join, |j, s| {
-            j.restore_state(s)
-        })?;
-    }
-    Ok(run_threaded_inner(deployment, events, config, Some(&snap)))
+    // Graft every join up front, so the node threads cannot fail.
+    let joins = build_joins(deployment, config.slack, |_| true, Some(&mut snap.tasks))?;
+    Ok(run_threaded_inner(
+        deployment,
+        events,
+        config,
+        joins,
+        Some(&snap),
+    ))
 }
 
+/// Parallel chunk execution can deliver a negation guard after the match
+/// it suppresses: negation-hosting joins defer candidates to chunk
+/// quiescence (see the module docs).
+fn defer_negations(joins: &mut [Option<JoinTask>]) {
+    for join in joins.iter_mut().flatten() {
+        if join.has_negations() {
+            join.set_defer_negation(true);
+        }
+    }
+}
+
+/// Runs the node threads over `joins` (every task's state, fresh or
+/// grafted from `resume`).
 fn run_threaded_inner(
     deployment: &Deployment,
     events: &[Event],
     config: &ThreadedConfig,
+    mut joins: Vec<Option<JoinTask>>,
     resume: Option<&Snapshot>,
 ) -> ThreadedReport {
     let num_nodes = deployment.num_nodes.max(1);
@@ -389,7 +401,7 @@ fn run_threaded_inner(
     let t_end = events.iter().map(|e| e.time).max().unwrap_or(0) + 1;
     let num_chunks = t_end.div_ceil(chunk).max(1);
     let rounds_per_chunk = remote_depth(deployment) + 1;
-    let release_phases = negation_release_phases(deployment, config.slack);
+    let release_phases = negation_release_phases(deployment, &joins);
 
     // One flat, origin-partitioned copy of the trace shared by all node
     // threads; each thread reads its own contiguous range. (The former
@@ -406,6 +418,14 @@ fn run_threaded_inner(
         sorted.sort_by_key(|e| e.origin.index());
         sorted.into()
     };
+    // Hand each node thread the state of its own tasks.
+    defer_negations(&mut joins);
+    let mut node_joins: Vec<Vec<Option<JoinTask>>> = (0..num_nodes)
+        .map(|_| (0..joins.len()).map(|_| None).collect())
+        .collect();
+    for (i, join) in joins.into_iter().enumerate() {
+        node_joins[deployment.tasks[i].node.index()][i] = join;
+    }
     let mut ranges: Vec<Range<usize>> = Vec::with_capacity(num_nodes);
     let mut begin = 0usize;
     for node in 0..num_nodes {
@@ -417,17 +437,14 @@ fn run_threaded_inner(
         begin = end;
     }
 
-    // Data channels (bounded under the batched transport), buffer return
-    // channels, in-flight depth gauges, and the drain barrier.
+    // Bounded data channels, buffer return channels, in-flight depth
+    // gauges, and the drain barrier.
     let mut senders: Vec<Sender<Frame>> = Vec::with_capacity(num_nodes);
     let mut receivers: Vec<Option<Receiver<Frame>>> = Vec::with_capacity(num_nodes);
     let mut ret_senders: Vec<Sender<Vec<NodeMsg>>> = Vec::with_capacity(num_nodes);
     let mut ret_receivers: Vec<Option<Receiver<Vec<NodeMsg>>>> = Vec::with_capacity(num_nodes);
     for _ in 0..num_nodes {
-        let (s, r) = match config.transport {
-            TransportMode::Batched { capacity, .. } => bounded(capacity.max(1)),
-            TransportMode::Naive => unbounded(),
-        };
+        let (s, r) = bounded(config.transport.capacity.max(1));
         senders.push(s);
         receivers.push(Some(r));
         let (rs, rr) = unbounded();
@@ -451,7 +468,7 @@ fn run_threaded_inner(
 
     let report_parts: Vec<NodeOutcome> = std::thread::scope(|scope| {
         let mut handles = Vec::with_capacity(num_nodes);
-        for node in 0..num_nodes {
+        for (node, joins) in node_joins.into_iter().enumerate() {
             let channels = NodeChannels {
                 inbox: receivers[node].take().expect("receiver unused"),
                 ret_inbox: ret_receivers[node].take().expect("return receiver unused"),
@@ -473,8 +490,8 @@ fn run_threaded_inner(
             };
             handles.push(scope.spawn(move || {
                 run_node(
-                    deployment, node, events, range, channels, inject_ns, start, schedule, config,
-                    shared, resume,
+                    deployment, node, joins, events, range, channels, inject_ns, start, schedule,
+                    config, shared, resume,
                 )
             }));
         }
@@ -574,29 +591,55 @@ struct ChunkSchedule {
     release_phases: usize,
 }
 
+/// The threaded executor's latency rule: wall-clock nanoseconds from the
+/// injection of a match's newest constituent event to its emission.
+struct WallLatency {
+    /// Injection mark per event seq (0: not injected in this run).
+    inject_ns: Arc<Vec<AtomicU64>>,
+    /// This node's latency samples.
+    samples: Vec<u64>,
+}
+
+impl LatencyRule for WallLatency {
+    fn latency(&self, m: &Match, now: u64) -> Option<u64> {
+        let newest = m
+            .entries()
+            .iter()
+            .map(|(_, e)| e)
+            .max_by(|a, b| a.trace_cmp(b))
+            .expect("non-empty match");
+        // No mark means the newest constituent entered in a resumed-from
+        // run (or its seq is outside this run's table).
+        let injected = self
+            .inject_ns
+            .get(newest.seq as usize)
+            .map_or(0, |a| a.load(Ordering::Acquire));
+        (injected != 0).then(|| now.saturating_sub(injected))
+    }
+
+    fn record(&mut self, _: &mut Metrics, latency: u64) {
+        self.samples.push(latency);
+    }
+}
+
 struct NodeRunner<'a> {
-    deployment: &'a Deployment,
     node: usize,
-    joins: Vec<Option<JoinTask>>,
+    /// The execution kernel over this node's tasks.
+    kernel: Kernel<'a, WallLatency>,
+    /// The kernel's outbound deliveries, awaiting dispatch (kept to reuse
+    /// its allocation).
+    out: Vec<Outbound>,
     channels: NodeChannels,
-    /// Messages ingested from inbox frames, awaiting processing.
+    /// Local deliveries and messages ingested from inbox frames, awaiting
+    /// processing.
     backlog: VecDeque<NodeMsg>,
     /// Pending outgoing messages per destination node.
     out_bufs: Vec<Vec<NodeMsg>>,
     /// Emptied frame buffers recycled via the return path.
     pool: Vec<Vec<NodeMsg>>,
-    /// Flush threshold in messages (1 under the naive transport).
+    /// Flush threshold in messages.
     batch: usize,
-    naive: bool,
-    inject_ns: Arc<Vec<AtomicU64>>,
     start: Instant,
-    metrics: Metrics,
-    matches: Vec<Vec<Match>>,
-    wall_latencies_ns: Vec<u64>,
-    /// Sender-side transmission multiplexing (see the simulator's `sent`).
-    sent: std::collections::HashSet<(u64, usize, u64), crate::sim::MuxBuildHasher>,
-    /// This node's private telemetry shard.
-    telemetry: Option<ExecTelemetry>,
     /// Newest event timestamp seen by any local join (the node-local
     /// watermark behind the series' lag column).
     max_seen: Timestamp,
@@ -621,7 +664,7 @@ struct NodeRunner<'a> {
     /// Fault mode, pre-crash: multiset of messages ingested from the
     /// planned-crash node this chunk, keyed by `(target, slot, mux match
     /// hash)` — the receive-side replay-dedup filter.
-    recv_log: HashMap<(usize, usize, u64), u32, crate::sim::MuxBuildHasher>,
+    recv_log: HashMap<(usize, usize, u64), u32, MuxBuildHasher>,
     /// Whether chunk logs are being recorded (fault mode, until the crash
     /// has happened).
     logs_active: bool,
@@ -648,6 +691,7 @@ const SEND_BACKOFF_CAP: Duration = Duration::from_micros(256);
 fn run_node(
     deployment: &Deployment,
     node: usize,
+    joins: Vec<Option<JoinTask>>,
     events: Arc<[Event]>,
     range: Range<usize>,
     channels: NodeChannels,
@@ -658,66 +702,35 @@ fn run_node(
     shared: Option<Arc<ResilienceShared>>,
     resume: Option<&Snapshot>,
 ) -> NodeOutcome {
-    let mut joins: Vec<Option<JoinTask>> = (0..deployment.tasks.len())
-        .map(|i| {
-            if deployment.tasks[i].node.index() == node {
-                let mut join = deployment.make_join(i, config.slack);
-                if let Some(j) = &mut join {
-                    // Parallel chunk execution can deliver a negation guard
-                    // after the match it suppresses; defer candidates to
-                    // chunk quiescence (see the module docs).
-                    if j.has_negations() {
-                        j.set_defer_negation(true);
-                    }
-                }
-                join
-            } else {
-                None
-            }
-        })
-        .collect();
     let telemetry = config
         .telemetry
         .as_ref()
         .map(|spec| ExecTelemetry::new(ClockDomain::WallNanos, spec, deployment.tasks.len()));
-    let (batch, naive) = match config.transport {
-        TransportMode::Batched { batch, .. } => (batch.max(1), false),
-        TransportMode::Naive => (1, true),
+    let latency = WallLatency {
+        inject_ns,
+        samples: Vec::new(),
     };
-    let num_nodes = deployment.num_nodes.max(1);
-    // Graft resumed state onto the freshly built local joins; node 0
-    // absorbs the snapshot's run-wide accumulators (metrics, matches,
-    // latencies) so the merged report continues the interrupted totals.
-    let mut metrics = Metrics::new(deployment.num_nodes);
-    let mut matches = vec![Vec::new(); deployment.queries.len()];
-    let mut wall_latencies_ns = Vec::new();
-    let mut sent: std::collections::HashSet<(u64, usize, u64), crate::sim::MuxBuildHasher> =
-        Default::default();
+    let mut kernel = Kernel::new(deployment, joins, latency, telemetry);
+    // Node 0 absorbs the resumed snapshot's run-wide accumulators
+    // (metrics, matches, latencies) so the merged report continues the
+    // interrupted totals; every node takes the `sent` entries it shipped.
     if let Some(snap) = resume {
-        for (i, join) in joins.iter_mut().enumerate() {
-            if deployment.tasks[i].node.index() != node {
-                continue;
-            }
-            checkpoint::restore_task(deployment, i, snap.tasks[i].clone(), join, |j, s| {
-                j.restore_state(s)
-            })
-            .expect("resume pre-validated by run_threaded_resumed");
-        }
-        sent.extend(snap.sent.iter().filter_map(|&(sig, from, to, mhash)| {
-            (from as usize == node).then_some((sig, to as usize, mhash))
-        }));
+        kernel
+            .sent
+            .extend(snap.sent.iter().filter(|k| usize::from(k.1) == node));
         if node == 0 {
-            metrics = snap.metrics.clone();
-            matches = snap.matches.clone();
-            wall_latencies_ns = snap.wall_latencies_ns.clone();
+            kernel.metrics = snap.metrics.clone();
+            kernel.matches = snap.matches.clone();
+            kernel.latency.samples = snap.wall_latencies_ns.clone();
             // Re-establish `sink_matches == samples + dropped` over the
             // absorbed history: matches the snapshot carries without a
             // wall-latency sample (all of them, for simulator snapshots —
             // the sim measures event-time lag, not wall time) count as
             // dropped samples of this run.
-            metrics.latency_samples_dropped = metrics
+            kernel.metrics.latency_samples_dropped = kernel
+                .metrics
                 .sink_matches
-                .saturating_sub(wall_latencies_ns.len() as u64);
+                .saturating_sub(kernel.latency.samples.len() as u64);
         }
     }
     let fault_mode = config.fault.is_some();
@@ -726,22 +739,17 @@ fn run_node(
         if shared.is_some() { FLIGHT_CAPACITY } else { 0 },
     );
     let mut runner = NodeRunner {
-        deployment,
         node,
-        joins,
+        kernel,
+        out: Vec::new(),
         channels,
         backlog: VecDeque::new(),
-        out_bufs: (0..num_nodes).map(|_| Vec::new()).collect(),
+        out_bufs: (0..deployment.num_nodes.max(1))
+            .map(|_| Vec::new())
+            .collect(),
         pool: Vec::new(),
-        batch,
-        naive,
-        inject_ns,
+        batch: config.transport.batch.max(1),
         start,
-        metrics,
-        matches,
-        wall_latencies_ns,
-        sent,
-        telemetry,
         max_seen: 0,
         slack: config.slack,
         fault: config.fault.clone(),
@@ -845,29 +853,21 @@ fn run_node(
     // snapshots keep `metrics.join` unfolded (the engine counters live in
     // the saved task states), so a resumed run folds them exactly once.
     let shard = config.checkpoint.then(|| runner.build_shard(next));
-    // Fold this node's join-engine counters into its metrics share, and
-    // the recovery record kept outside the rolled-back metrics.
-    for join in runner.joins.iter().flatten() {
-        runner.metrics.join.merge(join.stats());
-    }
+    // Fold the recovery record kept outside the rolled-back metrics, take
+    // a final sample at shutdown, then fold this node's join-engine
+    // counters and seal its telemetry shard with its local task summaries.
     runner
+        .kernel
         .metrics
         .recovery
         .merge(&std::mem::take(&mut runner.recovery));
-    // Final sample at shutdown, then seal this node's shard with its local
-    // task summaries.
     runner.sample(runner.start.elapsed().as_nanos() as u64);
-    let telemetry = runner.telemetry.take().map(|tel| {
-        let local =
-            (0..deployment.tasks.len()).filter(|&i| deployment.tasks[i].node.index() == node);
-        let tasks =
-            crate::telemetry::task_summaries(deployment, local, |i| runner.joins[i].as_ref(), &tel);
-        tel.finish(&runner.metrics, tasks)
-    });
+    let local = (0..deployment.tasks.len()).filter(|&i| deployment.tasks[i].node.index() == node);
+    let telemetry = runner.kernel.finish(local);
     NodeOutcome {
-        metrics: runner.metrics,
-        matches: runner.matches,
-        wall_latencies_ns: runner.wall_latencies_ns,
+        metrics: runner.kernel.metrics,
+        matches: runner.kernel.matches,
+        wall_latencies_ns: runner.kernel.latency.samples,
         telemetry,
         shard,
     }
@@ -878,22 +878,9 @@ impl NodeRunner<'_> {
     /// sent-set entries, this node's metrics share, and its local event
     /// cursor. Shards of all nodes merge into one whole-run [`Snapshot`].
     fn build_shard(&self, cursor: usize) -> Snapshot {
-        let mut snap = Snapshot::empty(self.deployment);
-        for (i, join) in self.joins.iter().enumerate() {
-            if let Some(join) = join {
-                snap.tasks[i] = Some(join.save_state());
-            }
-        }
-        snap.metrics = self.metrics.clone();
-        snap.matches = self.matches.clone();
-        snap.wall_latencies_ns = self.wall_latencies_ns.clone();
-        snap.sent = self
-            .sent
-            .iter()
-            .map(|&(sig, to, mhash)| (sig, self.node as u16, to as u16, mhash))
-            .collect();
-        snap.sent.sort_unstable();
-        snap.cursors = vec![0; self.deployment.num_nodes.max(1)];
+        let mut snap = self.kernel.snapshot();
+        snap.wall_latencies_ns = self.kernel.latency.samples.clone();
+        snap.cursors = vec![0; self.kernel.deployment.num_nodes.max(1)];
         snap.cursors[self.node] = cursor as u64;
         snap
     }
@@ -986,50 +973,34 @@ impl NodeRunner<'_> {
             self.channels.depth[self.node].fetch_sub(1, Ordering::Relaxed);
             let Frame { origin, mut msgs } = frame;
             msgs.clear();
-            if !self.naive {
-                let _ = self.channels.ret_senders[origin].send(msgs);
-            }
+            let _ = self.channels.ret_senders[origin].send(msgs);
         }
         let bytes = self.shared.as_ref().expect("fault mode has shards").shards[self.node]
             .lock()
             .expect("shard lock")
             .clone();
         let mut snap = checkpoint::decode(&bytes).expect("own shard decodes");
-        for i in 0..self.deployment.tasks.len() {
-            if self.deployment.tasks[i].node.index() != self.node {
-                continue;
-            }
-            let mut join = self.deployment.make_join(i, self.slack);
-            if let Some(j) = &mut join {
-                if j.has_negations() {
-                    j.set_defer_negation(true);
-                }
-            }
-            checkpoint::restore_task(
-                self.deployment,
-                i,
-                snap.tasks[i].take(),
-                &mut join,
-                |j, s| j.restore_state(s),
-            )
-            .expect("own shard matches the plan");
-            self.joins[i] = join;
-        }
-        self.metrics = snap.metrics;
-        self.matches = snap.matches;
-        self.wall_latencies_ns = snap.wall_latencies_ns;
-        self.sent.clear();
-        self.sent
-            .extend(snap.sent.iter().filter_map(|&(sig, from, to, mhash)| {
-                (from as usize == self.node).then_some((sig, to as usize, mhash))
-            }));
-        self.max_seen = self
-            .joins
+        let deployment = self.kernel.deployment;
+        let node = self.node;
+        let mut joins = build_joins(
+            deployment,
+            self.slack,
+            |i| deployment.tasks[i].node.index() == node,
+            Some(&mut snap.tasks),
+        )
+        .expect("own shard matches the plan");
+        defer_negations(&mut joins);
+        self.max_seen = joins
             .iter()
             .flatten()
             .map(|j| j.last_seen())
             .max()
             .unwrap_or(0);
+        self.kernel.joins = joins;
+        self.kernel.metrics = snap.metrics;
+        self.kernel.matches = snap.matches;
+        self.kernel.latency.samples = snap.wall_latencies_ns;
+        self.kernel.sent = snap.sent.into_iter().collect();
         let cursor = snap.cursors.get(self.node).copied().unwrap_or(0) as usize;
         self.flight.push(FlightRecord::RecoveryDone {
             t: self.start.elapsed().as_nanos() as u64,
@@ -1054,7 +1025,7 @@ impl NodeRunner<'_> {
             msgs: log.len() as u32,
         });
         for (target, slot, m) in log {
-            if let Some(tel) = self.telemetry.as_mut() {
+            if let Some(tel) = self.kernel.telemetry.as_mut() {
                 tel.on_replayed(target, 1);
             }
             self.enqueue(dest, NodeMsg { target, slot, m });
@@ -1064,9 +1035,7 @@ impl NodeRunner<'_> {
     /// Processes the backlog and every frame currently in the inbox.
     fn drain(&mut self) {
         loop {
-            while let Some(msg) = self.backlog.pop_front() {
-                self.handle(msg.target, msg.slot, msg.m);
-            }
+            self.run_backlog();
             match self.channels.inbox.try_recv() {
                 Ok(frame) => self.ingest(frame),
                 Err(_) => break,
@@ -1112,7 +1081,7 @@ impl NodeRunner<'_> {
                 .is_some_and(|f| f.node == frame.origin && f.node != self.node);
         if filtered {
             for msg in frame.msgs.drain(..) {
-                let key = (msg.target, msg.slot, crate::sim::match_hash_for_mux(&msg.m));
+                let key = (msg.target, msg.slot, match_hash(&msg.m));
                 if self.dedup_active {
                     if let Some(count) = self.recv_log.get_mut(&key) {
                         *count -= 1;
@@ -1120,7 +1089,7 @@ impl NodeRunner<'_> {
                             self.recv_log.remove(&key);
                         }
                         self.recovery.suppressed_sends += 1;
-                        if let Some(tel) = self.telemetry.as_mut() {
+                        if let Some(tel) = self.kernel.telemetry.as_mut() {
                             tel.on_suppressed(msg.target);
                         }
                         continue;
@@ -1132,11 +1101,9 @@ impl NodeRunner<'_> {
         } else {
             self.backlog.extend(frame.msgs.drain(..));
         }
-        if !self.naive {
-            // The origin may already have shut its return receiver down at
-            // the very end of the run; the buffer is then simply dropped.
-            let _ = self.channels.ret_senders[frame.origin].send(frame.msgs);
-        }
+        // The origin may already have shut its return receiver down at the
+        // very end of the run; the buffer is then simply dropped.
+        let _ = self.channels.ret_senders[frame.origin].send(frame.msgs);
     }
 
     /// Waits at the drain barrier, stealing inbox frames (or yielding)
@@ -1159,10 +1126,10 @@ impl NodeRunner<'_> {
             }
         }
         if let Some(buf) = self.pool.pop() {
-            self.metrics.transport.pool_reuses += 1;
+            self.kernel.metrics.transport.pool_reuses += 1;
             buf
         } else {
-            self.metrics.transport.pool_allocs += 1;
+            self.kernel.metrics.transport.pool_allocs += 1;
             Vec::with_capacity(self.batch)
         }
     }
@@ -1210,7 +1177,7 @@ impl NodeRunner<'_> {
             self.send_log
                 .extend(msgs.iter().map(|msg| (msg.target, msg.slot, msg.m.clone())));
         }
-        let t = &mut self.metrics.transport;
+        let t = &mut self.kernel.metrics.transport;
         t.frames_sent += 1;
         t.messages_framed += msgs.len() as u64;
         t.batch_hist.record(msgs.len() as u64);
@@ -1222,9 +1189,8 @@ impl NodeRunner<'_> {
             });
         }
         let in_flight = self.channels.depth[dest].fetch_add(1, Ordering::Relaxed) + 1;
-        if in_flight > self.metrics.transport.peak_queue_depth {
-            self.metrics.transport.peak_queue_depth = in_flight;
-        }
+        let t = &mut self.kernel.metrics.transport;
+        t.peak_queue_depth = t.peak_queue_depth.max(in_flight);
         let mut frame = Frame {
             origin: self.node,
             msgs,
@@ -1234,7 +1200,7 @@ impl NodeRunner<'_> {
             match self.channels.senders[dest].try_send(frame) {
                 Ok(()) => return,
                 Err(TrySendError::Full(f)) => {
-                    self.metrics.transport.blocked_sends += 1;
+                    self.kernel.metrics.transport.blocked_sends += 1;
                     frame = f;
                     if !self.steal() {
                         if self.fault.is_some() {
@@ -1260,6 +1226,7 @@ impl NodeRunner<'_> {
     fn maybe_sample(&mut self) {
         let now = self.start.elapsed().as_nanos() as u64;
         if self
+            .kernel
             .telemetry
             .as_ref()
             .is_some_and(|tel| tel.sample_due(now))
@@ -1273,10 +1240,11 @@ impl NodeRunner<'_> {
     /// (crossbeam receivers expose no length), and watermark lag is
     /// measured against this node's newest-seen event timestamp.
     fn sample(&mut self, now: u64) {
-        let Some(tel) = self.telemetry.as_mut() else {
+        let kernel = &mut self.kernel;
+        let Some(tel) = kernel.telemetry.as_mut() else {
             return;
         };
-        for (i, join) in self.joins.iter().enumerate() {
+        for (i, join) in kernel.joins.iter().enumerate() {
             let Some(join) = join else { continue };
             let stats = join.stats();
             let queue_depth = tel.drained_since(i);
@@ -1284,7 +1252,7 @@ impl NodeRunner<'_> {
                 now,
                 i,
                 self.node,
-                self.deployment.task_label(i),
+                kernel.deployment.task_label(i),
                 queue_depth,
                 join.buffered() as u64,
                 self.max_seen.saturating_sub(join.last_seen()),
@@ -1294,14 +1262,11 @@ impl NodeRunner<'_> {
         tel.end_sample(now);
     }
 
+    /// Injects one local event and runs its node-local cascade.
     fn inject(&mut self, event: &Event) {
-        let deployment = self.deployment;
-        let candidates = deployment.candidates_for(event.origin, event.ty);
-        if candidates.is_empty() {
+        if !self.kernel.inject(event, &self.start, &mut self.out) {
             return;
         }
-        self.metrics.events_injected += 1;
-        self.metrics.record_processed(self.node);
         self.injected_local += 1;
         let now = self.start.elapsed().as_nanos() as u64;
         if !self.flight.is_disabled() {
@@ -1312,277 +1277,59 @@ impl NodeRunner<'_> {
                 time: event.time,
             });
         }
-        if let Some(slot) = self.inject_ns.get(event.seq as usize) {
+        if let Some(slot) = self.kernel.latency.inject_ns.get(event.seq as usize) {
             // First write wins (0 means "never injected"), so a crash
             // replay keeps the original mark and a recovered match's
             // latency includes the downtime it survived.
             let _ = slot.compare_exchange(0, now.max(1), Ordering::AcqRel, Ordering::Acquire);
         }
-        if let Some(tel) = self.telemetry.as_mut() {
-            tel.on_inject(now, self.node, candidates[0].task, event);
-        }
-        let mut admitted = 0u64;
-        for cand in candidates {
-            // Discrimination index: skip candidates whose predicate bands
-            // already reject the event, before any predicate runs.
-            let admits = cand.admits(event);
-            if let Some(tel) = self.telemetry.as_mut() {
-                tel.on_candidate(cand.task, admits);
-            }
-            if !admits {
-                continue;
-            }
-            admitted += 1;
-            let task = cand.task;
-            let TaskKind::Source {
-                prim, predicates, ..
-            } = &deployment.tasks[task].kind
-            else {
-                unreachable!("candidates_for returns source tasks");
-            };
-            let query = &deployment.queries[deployment.tasks[task].query_idx];
-            let passes = predicates.iter().all(|&pi| {
-                query.predicates()[pi].evaluate(|p| (p == *prim).then_some(event)) == Some(true)
-            });
-            if passes {
-                if let Some(tel) = self.telemetry.as_mut() {
-                    tel.on_emit(task, event.time, 1);
-                }
-                let m = Match::single(*prim, event.clone());
-                self.route(task, vec![m]);
-            }
-        }
-        self.metrics
-            .discrimination
-            .observe(candidates.len() as u64, admitted);
+        self.dispatch();
+        self.run_backlog();
     }
 
-    fn handle(&mut self, task: usize, slot: usize, m: Match) {
-        self.metrics.record_processed(self.node);
-        self.max_seen = self.max_seen.max(m.last_time());
-        if let Some(tel) = self.telemetry.as_mut() {
-            tel.on_delivery(task);
+    /// Processes one delivery to a local join.
+    fn handle(&mut self, msg: NodeMsg) {
+        self.max_seen = self.max_seen.max(msg.m.last_time());
+        self.kernel
+            .deliver(msg.target, msg.slot, msg.m, &self.start, &mut self.out);
+        self.dispatch();
+    }
+
+    /// Processes backlogged messages until the backlog is empty.
+    fn run_backlog(&mut self) {
+        while let Some(msg) = self.backlog.pop_front() {
+            self.handle(msg);
         }
-        let outs = self.joins[task]
-            .as_mut()
-            .expect("deliveries target local joins")
-            .on_match(slot, m);
-        self.emit(task, outs);
     }
 
     /// Re-checks and releases the deferred candidates of every local
     /// negation-hosting join (called once per release phase, at chunk
     /// quiescence when all in-window guards have been delivered).
     fn release_deferred(&mut self) {
-        for task in 0..self.joins.len() {
-            let released = match self.joins[task].as_mut() {
-                Some(join) if join.has_negations() => join.release_deferred(),
-                _ => continue,
+        self.kernel.release_deferred(&self.start, &mut self.out);
+        self.dispatch();
+        self.run_backlog();
+    }
+
+    /// Moves the kernel's outbound deliveries into per-destination frame
+    /// buffers (remote) or the backlog (local). The steady-state path
+    /// performs no heap allocation: match clones are reference-counted and
+    /// frame buffers come from the pool.
+    fn dispatch(&mut self) {
+        let mut out = std::mem::take(&mut self.out);
+        for o in out.drain(..) {
+            let msg = NodeMsg {
+                target: o.target,
+                slot: o.slot,
+                m: o.m,
             };
-            self.emit(task, released);
-        }
-    }
-
-    /// Sink bookkeeping (or merge telemetry) for a task's outputs, then
-    /// routing to the fanout.
-    fn emit(&mut self, task: usize, outs: Vec<Match>) {
-        if outs.is_empty() {
-            return;
-        }
-        if let Some(tel) = self.telemetry.as_mut() {
-            for m in &outs {
-                tel.on_emit(task, m.last_time(), 1);
+            if o.remote {
+                self.enqueue(o.dest, msg);
+            } else {
+                self.backlog.push_back(msg);
             }
         }
-        let spec = &self.deployment.tasks[task];
-        if spec.is_sink {
-            // One physical sink may feed many logical queries (shared
-            // deployments): attribute each match — and its latency
-            // bookkeeping — to every subscriber so per-query match sets
-            // are identical to independent evaluation.
-            let deployment = self.deployment;
-            let sink_queries = &deployment.sink_queries[task];
-            let now = self.start.elapsed().as_nanos() as u64;
-            let prov = self
-                .telemetry
-                .as_ref()
-                .map_or(0, |tel| tel.provenance_sample());
-            for m in &outs {
-                let mhash = if prov != 0 {
-                    crate::sim::match_hash_for_mux(m)
-                } else {
-                    0
-                };
-                let newest = m
-                    .entries()
-                    .iter()
-                    .map(|(_, e)| e)
-                    .max_by(|a, b| a.trace_cmp(b))
-                    .expect("non-empty match");
-                let injected = self
-                    .inject_ns
-                    .get(newest.seq as usize)
-                    .map(|a| a.load(Ordering::Acquire))
-                    .unwrap_or(0);
-                for &query_idx in sink_queries {
-                    self.metrics.sink_matches += 1;
-                    if injected == 0 {
-                        // No injection record for the newest constituent —
-                        // it entered in a resumed-from run (or its seq is
-                        // outside this run's table). A sample against a
-                        // zero baseline would be garbage; count the loss
-                        // instead of hiding it. Invariant:
-                        // `sink_matches == samples + latency_samples_dropped`.
-                        self.metrics.latency_samples_dropped += 1;
-                    } else {
-                        let latency = now.saturating_sub(injected);
-                        self.wall_latencies_ns.push(latency);
-                        if let Some(tel) = self.telemetry.as_mut() {
-                            tel.on_sink(now, self.node, task, m.len(), m.last_time(), latency);
-                        }
-                    }
-                    if prov != 0 {
-                        if let Some(tel) = self.telemetry.as_mut() {
-                            tel.on_sink_match(
-                                now,
-                                self.node,
-                                task,
-                                &deployment.queries[query_idx],
-                                query_idx,
-                                m,
-                                mhash,
-                            );
-                        }
-                    }
-                    self.matches[query_idx].push(m.clone());
-                }
-            }
-        } else if self.telemetry.is_some() {
-            let now = self.start.elapsed().as_nanos() as u64;
-            for m in &outs {
-                let span = m.last_time().saturating_sub(m.first_time());
-                if let Some(tel) = self.telemetry.as_mut() {
-                    tel.on_merge(now, self.node, task, m.len(), span);
-                }
-            }
-        }
-        self.route(task, outs);
-    }
-
-    fn route(&mut self, task: usize, outs: Vec<Match>) {
-        if self.naive {
-            self.route_naive(task, outs);
-        } else {
-            self.route_batched(task, outs);
-        }
-    }
-
-    /// Routes via the precomputed fanout: local targets are handled
-    /// inline, remote targets are enqueued into per-destination batches.
-    /// The steady-state path performs no heap allocation — the fanout is
-    /// borrowed, the byte size is computed arithmetically, match clones
-    /// are reference-counted, and frame buffers come from the pool.
-    fn route_batched(&mut self, task: usize, outs: Vec<Match>) {
-        let deployment = self.deployment;
-        let fanout = &deployment.fanouts[task];
-        if fanout.local.is_empty() && fanout.remote.is_empty() {
-            return;
-        }
-        for m in outs {
-            if !fanout.remote_nodes.is_empty() {
-                let sig = deployment.tasks[task].stream_sig;
-                let mhash = crate::sim::match_hash_for_mux(&m);
-                // The encoded size is only needed for transmissions that
-                // survive the once-per-node multiplexing.
-                let mut bytes: Option<u64> = None;
-                for &n in &fanout.remote_nodes {
-                    if self.sent.insert((sig, n, mhash)) {
-                        let b = *bytes.get_or_insert_with(|| encoded_len(&m) as u64);
-                        self.metrics.messages_sent += 1;
-                        self.metrics.bytes_sent += b;
-                        if let Some(tel) = self.telemetry.as_mut() {
-                            let now = self.start.elapsed().as_nanos() as u64;
-                            tel.on_ship(now, self.node, n, task, b);
-                        }
-                    }
-                }
-                for &(dest, target, slot) in &fanout.remote {
-                    self.enqueue(
-                        dest,
-                        NodeMsg {
-                            target,
-                            slot,
-                            m: m.clone(),
-                        },
-                    );
-                }
-            }
-            for &(target, slot) in &fanout.local {
-                self.metrics.local_deliveries += 1;
-                if let Some(tel) = self.telemetry.as_mut() {
-                    tel.on_local();
-                }
-                self.handle(target, slot, m.clone());
-            }
-        }
-    }
-
-    /// The pre-batching send path, preserved as the benchmark baseline:
-    /// clones the route table per output, rebuilds the remote-node list
-    /// per match, encodes the full wire buffer just to measure it, and
-    /// ships every match as its own freshly allocated single-message
-    /// frame over an unbounded channel.
-    fn route_naive(&mut self, task: usize, outs: Vec<Match>) {
-        let deployment = self.deployment;
-        let routes = &deployment.routes[task];
-        if routes.is_empty() {
-            return;
-        }
-        for m in outs {
-            let mut remote_nodes: Vec<usize> = routes
-                .iter()
-                .filter(|r| r.remote)
-                .map(|r| deployment.tasks[r.target].node.index())
-                .collect();
-            remote_nodes.sort_unstable();
-            remote_nodes.dedup();
-            if !remote_nodes.is_empty() {
-                let bytes = crate::codec::encode_match(&m).len() as u64;
-                let sig = deployment.tasks[task].stream_sig;
-                let mhash = crate::sim::match_hash_for_mux(&m);
-                for &n in &remote_nodes {
-                    if self.sent.insert((sig, n, mhash)) {
-                        self.metrics.messages_sent += 1;
-                        self.metrics.bytes_sent += bytes;
-                        if let Some(tel) = self.telemetry.as_mut() {
-                            let now = self.start.elapsed().as_nanos() as u64;
-                            tel.on_ship(now, self.node, n, task, bytes);
-                        }
-                    }
-                }
-            }
-            let routes: Vec<crate::deploy::Route> = routes.clone();
-            for r in routes {
-                if r.remote {
-                    let dest = deployment.tasks[r.target].node.index();
-                    self.metrics.transport.pool_allocs += 1;
-                    self.send_frame(
-                        dest,
-                        vec![NodeMsg {
-                            target: r.target,
-                            slot: r.slot,
-                            m: m.clone(),
-                        }],
-                    );
-                } else {
-                    self.metrics.local_deliveries += 1;
-                    if let Some(tel) = self.telemetry.as_mut() {
-                        tel.on_local();
-                    }
-                    self.handle(r.target, r.slot, m.clone());
-                }
-            }
-        }
+        self.out = out;
     }
 }
 
@@ -1668,36 +1415,8 @@ mod tests {
         assert_eq!(threaded.metrics.messages_sent, sim.metrics.messages_sent);
         assert!(threaded.events_per_sec > 0.0);
         assert_eq!(threaded.wall_latencies_ns.len(), threaded.matches[0].len());
-    }
-
-    #[test]
-    fn naive_transport_matches_batched() {
-        let (deployment, events) = test_deployment();
-        let batched = run_threaded(&deployment, &events, &ThreadedConfig::default());
-        let naive = run_threaded(
-            &deployment,
-            &events,
-            &ThreadedConfig {
-                transport: TransportMode::Naive,
-                ..ThreadedConfig::default()
-            },
-        );
-        assert_eq!(
-            fingerprints(&batched.matches[0]),
-            fingerprints(&naive.matches[0]),
-        );
-        assert_eq!(batched.metrics.messages_sent, naive.metrics.messages_sent);
-        assert_eq!(batched.metrics.bytes_sent, naive.metrics.bytes_sent);
-        // The naive path ships one fresh single-message frame per match;
-        // the batched path packs multiple messages per frame and recycles
-        // the buffers.
-        assert_eq!(
-            naive.metrics.transport.frames_sent,
-            naive.metrics.transport.messages_framed
-        );
-        assert_eq!(naive.metrics.transport.pool_reuses, 0);
-        let t = &batched.metrics.transport;
-        assert!(t.frames_sent > 0, "batched run must ship frames");
+        let t = &threaded.metrics.transport;
+        assert!(t.frames_sent > 0, "threaded run must ship frames");
         assert!(
             t.frames_sent < t.messages_framed,
             "batching must pack multiple messages into at least some frames"
@@ -1713,7 +1432,7 @@ mod tests {
             &deployment,
             &events,
             &ThreadedConfig {
-                transport: TransportMode::Batched {
+                transport: TransportMode {
                     batch: 1,
                     capacity: 8,
                 },
@@ -1738,7 +1457,7 @@ mod tests {
             &deployment,
             &events,
             &ThreadedConfig {
-                transport: TransportMode::Batched {
+                transport: TransportMode {
                     batch: 1,
                     capacity: 1,
                 },
@@ -1839,7 +1558,8 @@ mod tests {
     #[test]
     fn release_phases_zero_without_negations() {
         let (deployment, _) = test_deployment();
-        assert_eq!(negation_release_phases(&deployment, 4.0), 0);
+        let joins = build_joins(&deployment, 4.0, |_| true, None).unwrap();
+        assert_eq!(negation_release_phases(&deployment, &joins), 0);
     }
 
     #[test]

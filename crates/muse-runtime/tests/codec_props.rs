@@ -2,15 +2,16 @@
 //!
 //! Two invariants over randomized matches (all three value kinds, varied
 //! payload shapes and entry counts):
-//! 1. `decode_match(encode_match(m)) == m` — lossless roundtrip,
+//! 1. `try_decode_match(encode_match(m)) == Some(m)` — lossless roundtrip,
 //! 2. `encoded_len(m) == encode_match(m).len()` — the arithmetic size the
 //!    executors use for byte accounting stays in lockstep with the actual
 //!    encoder (the batched send path never encodes, so this equality is
 //!    what keeps `bytes_sent` honest).
 
+use bytes::Buf;
 use muse_core::event::{Event, Payload, Value};
 use muse_core::types::{AttrId, EventTypeId, NodeId, PrimId};
-use muse_runtime::codec::{decode_match, encode_match, encoded_event_len, encoded_len};
+use muse_runtime::codec::{encode_match, encoded_event_len, encoded_len, try_decode_match};
 use muse_runtime::matcher::Match;
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -60,7 +61,7 @@ proptest! {
     fn match_roundtrips_losslessly(seed in any::<u64>(), max_entries in 0usize..6) {
         let mut rng = StdRng::seed_from_u64(seed);
         let m = random_match(&mut rng, max_entries);
-        let decoded = decode_match(encode_match(&m));
+        let decoded = try_decode_match(&mut encode_match(&m).chunk()).expect("match decodes");
         prop_assert_eq!(&decoded, &m);
     }
 
@@ -84,7 +85,7 @@ proptest! {
         let mut rng = StdRng::seed_from_u64(seed);
         let e = random_event(&mut rng);
         let m = Match::single(PrimId(rng.gen_range(0u8..16)), e.clone());
-        let decoded = decode_match(encode_match(&m));
+        let decoded = try_decode_match(&mut encode_match(&m).chunk()).expect("match decodes");
         prop_assert_eq!(decoded.entries().len(), 1);
         prop_assert_eq!(&decoded.entries()[0].1, &e);
     }

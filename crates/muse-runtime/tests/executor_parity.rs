@@ -1,11 +1,13 @@
 //! Simulator-vs-threaded parity on query classes beyond plain SEQ/AND:
 //! disjunctions (OR, split into per-alternative queries) and negated
 //! sequences (NSEQ, exercising the threaded executor's deferred-negation
-//! release), plus batched-vs-naive transport equivalence on both.
+//! release), down to the exact work counters and the multiplexing `sent`
+//! set both executors' shared kernel keeps; plus the simulator's own
+//! determinism against snapshots committed as fixtures.
 //!
 //! The simulator processes events in global timestamp order and is the
 //! correctness reference; the threaded executor must reproduce its match
-//! sets and transmission counts under every transport mode.
+//! sets and transmission counts.
 
 use muse_core::algorithms::amuse::AMuseConfig;
 use muse_core::algorithms::multi_query::amuse_workload;
@@ -16,9 +18,10 @@ use muse_core::network::{Network, NetworkBuilder};
 use muse_core::query::{Pattern, Predicate};
 use muse_core::types::{EventTypeId, NodeId};
 use muse_core::workload::Workload;
+use muse_runtime::checkpoint::{self, Snapshot};
 use muse_runtime::deploy::Deployment;
 use muse_runtime::matcher::Match;
-use muse_runtime::sim::{run_simulation, SimConfig};
+use muse_runtime::sim::{run_simulation, SimConfig, SimExecutor};
 use muse_runtime::threaded::{run_threaded, ThreadedConfig, TransportMode};
 use std::collections::BTreeSet;
 
@@ -76,6 +79,14 @@ fn fingerprints(matches: &[Match]) -> BTreeSet<Vec<u64>> {
 fn or_pattern() -> Pattern {
     Pattern::seq([
         Pattern::or([Pattern::leaf(t(0)), Pattern::leaf(t(1))]),
+        Pattern::leaf(t(2)),
+    ])
+}
+
+/// The paper's Fig. 1 query `SEQ(AND(t0, t1), t2)`.
+fn fig1_pattern() -> Pattern {
+    Pattern::seq([
+        Pattern::and([Pattern::leaf(t(0)), Pattern::leaf(t(1))]),
         Pattern::leaf(t(2)),
     ])
 }
@@ -190,42 +201,6 @@ fn nseq_guard_actually_suppresses() {
 }
 
 #[test]
-fn naive_transport_parity_on_or_and_nseq() {
-    let net = network();
-    for (label, pattern) in [("OR", or_pattern()), ("NSEQ", nseq_pattern())] {
-        let deployment = deploy(pattern, 5_000, &net);
-        let events = trace(&net, 23);
-        let batched = run_threaded(&deployment, &events, &ThreadedConfig::default());
-        let naive = run_threaded(
-            &deployment,
-            &events,
-            &ThreadedConfig {
-                transport: TransportMode::Naive,
-                ..ThreadedConfig::default()
-            },
-        );
-        for (q, (b, nv)) in batched.matches.iter().zip(&naive.matches).enumerate() {
-            assert_eq!(
-                fingerprints(b),
-                fingerprints(nv),
-                "{label}: query {q} diverges between transports"
-            );
-        }
-        assert_eq!(batched.metrics.messages_sent, naive.metrics.messages_sent);
-        assert_eq!(batched.metrics.bytes_sent, naive.metrics.bytes_sent);
-        assert_parity(
-            &deployment,
-            &events,
-            &ThreadedConfig {
-                transport: TransportMode::Naive,
-                ..ThreadedConfig::default()
-            },
-            &format!("{label} naive"),
-        );
-    }
-}
-
-#[test]
 fn steady_state_send_path_recycles_frames() {
     // The acceptance check of the batched transport: after warm-up, frame
     // buffers come from the recycling pool, not the allocator. Per-message
@@ -233,14 +208,7 @@ fn steady_state_send_path_recycles_frames() {
     let net = network();
     // The paper's Fig. 1 query ships every partial AND match across the
     // network — by far the most frame traffic of the test workloads.
-    let deployment = deploy(
-        Pattern::seq([
-            Pattern::and([Pattern::leaf(t(0)), Pattern::leaf(t(1))]),
-            Pattern::leaf(t(2)),
-        ]),
-        5_000,
-        &net,
-    );
+    let deployment = deploy(fig1_pattern(), 5_000, &net);
     let events = muse_sim::traces::generate_traces(
         &net,
         &muse_sim::traces::TraceConfig {
@@ -256,7 +224,7 @@ fn steady_state_send_path_recycles_frames() {
         &deployment,
         &events,
         &ThreadedConfig {
-            transport: TransportMode::Batched {
+            transport: TransportMode {
                 batch: 1,
                 capacity: 8,
             },
@@ -297,5 +265,104 @@ fn fanout_tables_mirror_route_tables() {
             sorted.dedup();
             assert_eq!(sorted, f.remote_nodes, "remote_nodes sorted and deduped");
         }
+    }
+}
+
+/// The work counters two end-of-run snapshots must agree on exactly, with
+/// `join.emitted` summed over the saved task states (snapshots keep the
+/// engine counters there, not in `metrics.join`).
+fn exact_counters(snap: &Snapshot) -> [u64; 8] {
+    let m = &snap.metrics;
+    let emitted = snap.tasks.iter().flatten().map(|s| s.stats.emitted).sum();
+    [
+        m.messages_sent,
+        m.bytes_sent,
+        m.local_deliveries,
+        m.discrimination.events,
+        m.discrimination.candidates_considered,
+        m.discrimination.candidates_admitted,
+        m.sink_matches,
+        emitted,
+    ]
+}
+
+#[test]
+fn exact_counters_and_sent_sets_agree_across_executors() {
+    let net = network();
+    for (label, pattern) in [
+        ("OR", or_pattern()),
+        ("NSEQ", nseq_pattern()),
+        ("Fig. 1", fig1_pattern()),
+    ] {
+        let deployment = deploy(pattern, 5_000, &net);
+        let mut shipped = 0;
+        for seed in [23, 5, 11] {
+            let ctx = format!("{label} seed {seed}");
+            let events = trace(&net, seed);
+            let mut sim = SimExecutor::new(&deployment, SimConfig::default());
+            sim.process_trace(&events);
+            let sim_snap = sim.to_snapshot();
+            let threaded = run_threaded(
+                &deployment,
+                &events,
+                &ThreadedConfig {
+                    checkpoint: true,
+                    ..ThreadedConfig::default()
+                },
+            );
+            let bytes = threaded.final_snapshot.expect("checkpoint mode snapshots");
+            let threaded_snap = checkpoint::decode(&bytes).expect("final snapshot decodes");
+            shipped += sim_snap.sent.len();
+            let sent = |s: &Snapshot| s.sent.iter().copied().collect::<BTreeSet<_>>();
+            assert_eq!(sent(&sim_snap), sent(&threaded_snap), "{ctx}: sent sets");
+            assert_eq!(
+                threaded_snap.sent.len(),
+                sent(&threaded_snap).len(),
+                "{ctx}: threaded shards overlap in their sent entries"
+            );
+            assert_eq!(
+                exact_counters(&sim_snap),
+                exact_counters(&threaded_snap),
+                "{ctx}: [messages, bytes, local, disc events/considered/admitted, \
+                 sink matches, join emitted]"
+            );
+        }
+        assert!(shipped > 0, "{label}: nothing crossed the network");
+    }
+}
+
+/// The OR and NSEQ deployments above on seed 23, snapshotted by the
+/// simulator after half the trace — written before the simulator and the
+/// threaded executor shared one execution kernel.
+const SIM_MID_OR: &[u8] = include_bytes!("data/sim_mid_or.snapshot");
+const SIM_MID_NSEQ: &[u8] = include_bytes!("data/sim_mid_nseq.snapshot");
+
+#[test]
+fn simulator_snapshots_and_resumes_match_committed_fixtures() {
+    let net = network();
+    for (label, pattern, fixture) in [
+        ("OR", or_pattern(), SIM_MID_OR),
+        ("NSEQ", nseq_pattern(), SIM_MID_NSEQ),
+    ] {
+        let deployment = deploy(pattern, 5_000, &net);
+        let events = trace(&net, 23);
+        let mid = events.len() / 2;
+
+        let mut first = SimExecutor::new(&deployment, SimConfig::default());
+        first.process_trace(&events[..mid]);
+        let bytes = checkpoint::snapshot(&first).expect("snapshot encodes");
+        assert!(bytes == fixture, "{label}: mid-run snapshot bytes changed");
+
+        let full = run_simulation(&deployment, &events, &SimConfig::default());
+        let mut resumed = checkpoint::restore(&deployment, SimConfig::default(), fixture)
+            .expect("fixture restores");
+        resumed.process_trace(&events[mid..]);
+        let resumed = resumed.finish();
+        assert!(
+            full.matches.iter().any(|q| !q.is_empty()),
+            "{label}: workload must produce matches"
+        );
+        assert_eq!(resumed.matches, full.matches, "{label}: match vectors");
+        assert_eq!(resumed.metrics, full.metrics, "{label}: metrics");
     }
 }

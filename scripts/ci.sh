@@ -8,8 +8,8 @@
 # observability bench (emitting BENCH_matcher.json, BENCH_executor.json,
 # BENCH_faults.json, BENCH_multiquery.json, BENCH_observe.json, and
 # BENCH_migrate.json at the repo root plus telemetry exports under out/). The executor smoke
-# additionally gates on the batched and naive transports producing
-# identical match sets; the fault smoke gates on the crashed run
+# additionally gates on the threaded executor reproducing the simulator's
+# per-query match sets; the fault smoke gates on the crashed run
 # reproducing the uninterrupted run's match sets; the multiquery smoke
 # gates on shared-plan evaluation reproducing independent per-query
 # evaluation and on sublinear wall-time growth in the query count; the
@@ -96,7 +96,7 @@ cargo run -p muse-bench --release --bin harness -- matcher --quick --out . --tel
 echo "== smoke: executor transport bench (with telemetry) =="
 cargo run -p muse-bench --release --bin harness -- executor --quick --out . --telemetry out
 grep -q '"fingerprints_equal": true' BENCH_executor.json || {
-    echo "ci.sh: executor smoke: batched and naive transports diverged" >&2
+    echo "ci.sh: executor smoke: threaded executor diverged from the simulator" >&2
     exit 1
 }
 

@@ -231,7 +231,9 @@ proptest! {
             .map(|(i, e)| (PrimId(i as u8), e.clone()))
             .collect();
         let m = muse_runtime::Match::new(entries);
-        let bytes = muse_runtime::codec::encode_match(&m);
-        prop_assert_eq!(muse_runtime::codec::decode_match(bytes), m);
+        let wire = muse_runtime::codec::encode_match(&m);
+        let decoded = muse_runtime::codec::try_decode_match(&mut bytes::Buf::chunk(&wire))
+            .expect("match decodes");
+        prop_assert_eq!(decoded, m);
     }
 }
